@@ -80,10 +80,16 @@ def _mul_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     dim = 1 << n
     masks = np.arange(dim)
     partner = masks[:, None] ^ masks[None, :]
-    sign = np.empty((dim, dim), dtype=np.float64)
-    for j in range(dim):
-        for l in range(dim):
-            sign[j, l], _ = basis_mul(j, int(partner[j, l]), n)
+    # basis_mul's sign for every pair at once: the parity of the swap count
+    # sum_s popcount((j >> s) & k) is the parity of the XOR of those terms
+    left = masks[:, None]
+    folded = np.zeros_like(partner)
+    for shift in range(n):
+        folded ^= (left >> shift) & partner
+    parity = np.zeros_like(partner)
+    for shift in range(n):
+        parity ^= (folded >> shift) & 1
+    sign = 1.0 - 2.0 * parity
     sign.setflags(write=False)
     partner.setflags(write=False)
     return sign, partner
@@ -109,6 +115,20 @@ def _batch_mul_coeffs(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Row-wise products of two (N, 2**n) coefficient stacks."""
     sign, partner = _mul_tables(n)
     return np.einsum("kj,jl,kjl->kl", a, sign, b[:, partner])
+
+
+def _power(base, exponent: int, mul, one):
+    """``base ** exponent`` by repeated squaring: about 2 log2(exponent)
+    calls of ``mul``, which only ever multiplies powers of ``base``, so the
+    order of the factors does not matter.  ``one`` is returned for exponent 0."""
+    result = None
+    while exponent:
+        if exponent & 1:
+            result = base if result is None else mul(result, base)
+        exponent >>= 1
+        if exponent:
+            base = mul(base, base)
+    return one if result is None else result
 
 
 class _Element:
@@ -229,10 +249,7 @@ class _Element:
     def __pow__(self, exponent):
         if not isinstance(exponent, numbers.Integral) or exponent < 0:
             return NotImplemented
-        out = type(self).from_scalar(self.n, 1)
-        for _ in range(int(exponent)):
-            out = out * self
-        return out
+        return _power(self, int(exponent), lambda a, b: a * b, type(self).from_scalar(self.n, 1))
 
     def __eq__(self, other):
         if isinstance(other, _Element):

@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import Paravector, multivector_to_json, parse_multivector
 from .contour import CauchyTransform, slice_regularity_residual
 from .dsl import DEFAULT_RADIUS, stem_function
-from .errors import DegenerateDirectionError, InputError, ToolkitError
+from .errors import DegenerateDirectionError, FormatError, InputError, ToolkitError
 from .operators import (
     clifford_spectrum_slice,
     complex_spectrum,
@@ -46,10 +46,21 @@ def _paravector_json(p: Paravector) -> dict:
     return {"n": p.n, "components": list(p.components)}
 
 
+def _load_json(path: str, what: str):
+    """Parsed contents of a JSON input file; I/O and syntax errors become
+    input errors, reported like any other."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file {path!r}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # JSON syntax, or bytes that are not UTF-8
+        raise FormatError(f"{what} file {path!r} is not valid JSON: {exc}") from None
+
+
 def _domain(args: dict, n: int) -> PlanarDomain:
     if args.get("domain"):
-        with open(args["domain"], encoding="utf-8") as handle:
-            return PlanarDomain.from_json(json.load(handle))
+        return PlanarDomain.from_json(_load_json(args["domain"], "domain"))
     return PlanarDomain.disk(0.0, DEFAULT_RADIUS)
 
 
@@ -143,8 +154,7 @@ def cmd_regularity(args: dict) -> dict:
 
 
 def cmd_op_spectrum(args: dict) -> dict:
-    with open(args["matrix"], encoding="utf-8") as handle:
-        T = operator_from_json(json.load(handle))
+    T = operator_from_json(_load_json(args["matrix"], "matrix"))
     spectrum = complex_spectrum(T)
     out = {
         "d": T.d,
@@ -162,8 +172,7 @@ def cmd_op_spectrum(args: dict) -> dict:
 
 
 def cmd_op_eval(args: dict) -> dict:
-    with open(args["matrix"], encoding="utf-8") as handle:
-        T = operator_from_json(json.load(handle))
+    T = operator_from_json(_load_json(args["matrix"], "matrix"))
     method = args.get("method", "riesz")
     if method not in ("riesz", "slice", "both"):
         raise InputError(f"unknown method {method!r}")
@@ -321,17 +330,18 @@ def _namespace_to_job(namespace: argparse.Namespace) -> dict:
 def main(argv=None) -> int:
     parser = build_parser()
     namespace = parser.parse_args(argv)
-    if namespace.job:
-        with open(namespace.job, encoding="utf-8") as handle:
-            job = json.load(handle)
-        if not namespace.out and job.get("out"):
-            namespace.out = job["out"]
-    elif namespace.command:
-        job = _namespace_to_job(namespace)
-    else:
+    if not namespace.job and not namespace.command:
         parser.print_help()
         return 1
     try:
+        if namespace.job:
+            job = _load_json(namespace.job, "job")
+            if not isinstance(job, dict):
+                raise FormatError(f"job file {namespace.job!r} must hold a JSON object")
+            if not namespace.out and job.get("out"):
+                namespace.out = job["out"]
+        else:
+            job = _namespace_to_job(namespace)
         payload = render_job(job)
     except ToolkitError as exc:
         error = {

@@ -60,6 +60,10 @@ class Contour:
     circles: tuple[Circle, ...]
     nodes: int = DEFAULT_NODES
 
+    def __post_init__(self):
+        if self.nodes < 1:
+            raise DomainError(f"need at least one quadrature node per circle, got {self.nodes}")
+
     def encloses(self, z: complex) -> bool:
         return any(c.encloses(z) for c in self.circles)
 
@@ -219,7 +223,9 @@ class CauchyTransform:
 
     Function samples at the quadrature nodes depend only on the node count,
     so they are cached; evaluating at another paravector costs one resolvent
-    per node.  Derivative orders cache their own node samples.
+    per node.  Derivative orders cache their own node samples.  The nodes are
+    nested: doubling their number keeps every old node, so only the new ones
+    are sampled.
     """
 
     def __init__(
@@ -238,7 +244,7 @@ class CauchyTransform:
                 raise NoContourError("need either a contour or spectrum points to build one")
             contour = build_contour(
                 spectrum_hint, F.domain, radius_fraction=radius_fraction,
-                exclude=F.domain.punctures, nodes=nodes or DEFAULT_NODES,
+                exclude=F.domain.punctures, nodes=DEFAULT_NODES if nodes is None else nodes,
             )
         elif nodes is not None and nodes != contour.nodes:
             contour = Contour(contour.circles, nodes=nodes)
@@ -247,20 +253,41 @@ class CauchyTransform:
         self.tol = tol
         self.max_nodes = max_nodes
         self.adaptive = adaptive
-        self._samples: dict[tuple[int, int], list[np.ndarray]] = {}
+        # per derivative order: the finest node count sampled so far and
+        # the (count, 2**n) samples on each circle
+        self._samples: dict[int, tuple[int, list[np.ndarray]]] = {}
+
+    def _sample(self, fn: StemFunction, ks: np.ndarray, num: int) -> list[np.ndarray]:
+        """``fn`` at nodes ``ks`` of ``num`` per circle: one batch per circle."""
+        t = 2.0 * np.pi * ks / num
+        phases = np.exp(1j * t)
+        return [fn.values_at(circle.center + circle.radius * phases)
+                for circle in self.contour.circles]
 
     def _values(self, num: int, order: int) -> list[np.ndarray]:
-        key = (num, order)
-        if key not in self._samples:
-            fn = self.F if order == 0 else self.F.differentiated(order)
-            t = 2.0 * np.pi * np.arange(num) / num
-            phases = np.exp(1j * t)
+        """Samples at the ``num`` nodes of every circle.
+
+        Node ``k`` of ``num`` sits at angle ``2 pi k / num``; as ``2 pi (2k) /
+        (2 num)`` equals ``2 pi k / num`` exactly in floating point, the nodes
+        of ``num`` are every other node of ``2 num``.  So fewer nodes are a
+        stride of cached ones, and doubling samples only the new odd nodes.
+        """
+        have, cached = self._samples.get(order, (0, []))
+        stride = have // num
+        if stride and stride * num == have and stride & (stride - 1) == 0:
+            return [values[::stride] for values in cached]
+        fn = self.F if order == 0 else self.F.differentiated(order)
+        if num == 2 * have:
             per_circle = []
-            for circle in self.contour.circles:
-                zs = circle.center + circle.radius * phases
-                per_circle.append(np.stack([fn(z).coeffs for z in zs]))
-            self._samples[key] = per_circle
-        return self._samples[key]
+            for old, new in zip(cached, self._sample(fn, np.arange(1, num, 2), num)):
+                merged = np.empty((num, old.shape[1]), dtype=np.complex128)
+                merged[0::2] = old
+                merged[1::2] = new
+                per_circle.append(merged)
+        else:
+            per_circle = self._sample(fn, np.arange(num), num)
+        self._samples[order] = (num, per_circle)
+        return per_circle
 
     def _estimate(self, kappa: Paravector, num: int, order: int) -> np.ndarray:
         n = self.F.n

@@ -20,15 +20,21 @@ programmatically) but have no surface syntax.
 
 from __future__ import annotations
 
-import cmath
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .algebra import CMultivector, Multivector, format_multivector, mask_from_digits
-from .errors import DomainError, MaskRangeError, ParseError, SingularInputError
+from .algebra import (
+    CMultivector,
+    Multivector,
+    _batch_mul_coeffs,
+    _power,
+    format_multivector,
+    mask_from_digits,
+)
+from .errors import DomainError, MaskRangeError, NumericError, ParseError, SingularInputError
 from .stem import Disk, PlanarDomain, StemFunction
 
 __all__ = [
@@ -53,12 +59,15 @@ __all__ = [
 ]
 
 DEFAULT_RADIUS = 10.0
+# Deepest expression tree the parser accepts; the evaluator, the printer and
+# the differentiator all recurse on the tree.
+MAX_DEPTH = 100
 _FUNCTIONS = {
-    "exp": (cmath.exp, "exp"),
-    "sin": (cmath.sin, "cos"),
-    "cos": (cmath.cos, "-sin"),
-    "sinh": (cmath.sinh, "cosh"),
-    "cosh": (cmath.cosh, "sinh"),
+    "exp": (np.exp, "exp"),
+    "sin": (np.sin, "cos"),
+    "cos": (np.cos, "-sin"),
+    "sinh": (np.sinh, "cosh"),
+    "cosh": (np.cosh, "sinh"),
 }
 
 
@@ -121,6 +130,27 @@ class Func:
 
 
 Expr = Union[Lit, CliffLit, Var, Add, Sub, Mul, Div, Neg, Pow, Func]
+
+
+def _children(e: Expr) -> tuple[Expr, ...]:
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return (e.left, e.right)
+    if isinstance(e, Neg):
+        return (e.inner,)
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, Func):
+        return (e.arg,)
+    return ()
+
+
+def _depth(e: Expr) -> int:
+    deepest, stack = 0, [(e, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        stack.extend((child, level + 1) for child in _children(node))
+    return deepest
 
 
 def is_scalar_expr(e: Expr) -> bool:
@@ -200,6 +230,7 @@ class _Parser:
         self.n = n
         self.tokens = _tokenize(src)
         self.index = 0
+        self.nesting = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -221,6 +252,8 @@ class _Parser:
         token = self.peek()
         if token[0] != "end":
             raise ParseError(f"unexpected trailing input {token[1]!r}", position=token[2])
+        if _depth(e) > MAX_DEPTH:
+            raise ParseError(f"expression tree deeper than {MAX_DEPTH} levels")
         return e
 
     def expr(self) -> Expr:
@@ -245,10 +278,18 @@ class _Parser:
         return node
 
     def unary(self) -> Expr:
+        # every parenthesis, function call and unary minus passes through here
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels",
+                             position=self.peek()[2])
         if self.peek()[:2] == ("op", "-"):
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            node = Neg(self.unary())
+        else:
+            node = self.power()
+        self.nesting -= 1
+        return node
 
     def power(self) -> Expr:
         base = self.atom()
@@ -271,6 +312,8 @@ class _Parser:
         kind, text, pos = self.advance()
         if kind == "num":
             value = float(text)
+            if not np.isfinite(value):
+                raise ParseError(f"number {text} overflows a double", position=pos)
             if self.peek()[0] == "blade":
                 _, blade_text, bpos = self.advance()
                 return CliffLit(value * self._blade(blade_text, bpos))
@@ -299,50 +342,134 @@ def parse(src: str, n: int) -> Expr:
 
 
 # -- evaluation -----------------------------------------------------------------
+#
+# An expression compiles once into a closure over a (N,) complex array of
+# points.  A scalar node yields a (N,) array and a Clifford-valued node a
+# (N, 2**n) coefficient array; constant nodes yield a 0-d or (2**n,) array
+# that numpy broadcasts against the others.
 
-def evaluate(e: Expr, z: complex, n: int) -> CMultivector:
-    """Evaluate at a complex point; the value lives in the rank-n
-    complexified algebra."""
-    value = _eval(e, complex(z), n)
-    if isinstance(value, CMultivector):
-        return value
-    if isinstance(value, Multivector):
-        return value.to_cmultivector()
-    return CMultivector.from_scalar(n, value)
+Batch = Callable[[np.ndarray], np.ndarray]
 
 
-def _eval(e: Expr, z: complex, n: int):
+def _embed(value: np.ndarray, dim: int) -> np.ndarray:
+    """Scalar values as coefficient arrays of the unit blade."""
+    out = np.zeros(np.shape(value) + (dim,), dtype=np.complex128)
+    out[..., 0] = value
+    return out
+
+
+def _as_clifford(node: Batch, dim: int) -> Batch:
+    return lambda zs: _embed(node(zs), dim)
+
+
+def _rows(value: np.ndarray, count: int) -> np.ndarray:
+    return value if value.ndim == 2 else np.broadcast_to(value, (count, value.shape[-1]))
+
+
+def _compile(e: Expr, n: int) -> tuple[Batch, bool]:
+    """Closure for ``e`` and whether it is scalar (as :func:`is_scalar_expr`)."""
+    dim = 1 << n
     if isinstance(e, Lit):
-        return e.value
+        value = np.complex128(e.value)
+        return (lambda zs: value), True
     if isinstance(e, CliffLit):
         if e.value.n != n:
             raise MaskRangeError(f"Clifford literal has rank {e.value.n}, expected {n}")
-        return e.value
+        coeffs = e.value.coeffs  # real and read-only; numpy promotes it exactly
+        if not coeffs[1:].any():
+            value = np.complex128(coeffs[0])
+            return (lambda zs: value), True
+        return (lambda zs: coeffs), False
     if isinstance(e, Var):
-        return z
-    if isinstance(e, Add):
-        return _eval(e.left, z, n) + _eval(e.right, z, n)
-    if isinstance(e, Sub):
-        return _eval(e.left, z, n) - _eval(e.right, z, n)
-    if isinstance(e, Mul):
-        return _eval(e.left, z, n) * _eval(e.right, z, n)
-    if isinstance(e, Div):
-        denom = _eval(e.right, z, n)
-        denom = complex(denom) if not isinstance(denom, (Multivector, CMultivector)) \
-            else complex(denom.coeffs[0])
-        if abs(denom) < 1e-150:
-            raise SingularInputError(f"division by (near-)zero divisor at z={z}")
-        return _eval(e.left, z, n) * (1.0 / denom)
+        return (lambda zs: zs), True
     if isinstance(e, Neg):
-        return -_eval(e.inner, z, n)
-    if isinstance(e, Pow):
-        return _eval(e.base, z, n) ** e.exponent
+        inner, scalar = _compile(e.inner, n)
+        return (lambda zs: -inner(zs)), scalar
     if isinstance(e, Func):
-        arg = _eval(e.arg, z, n)
-        arg = complex(arg) if not isinstance(arg, (Multivector, CMultivector)) \
-            else complex(arg.coeffs[0])
-        return _FUNCTIONS[e.name][0](arg)
+        arg, _ = _compile(e.arg, n)
+        ufunc = _FUNCTIONS[e.name][0]
+        return (lambda zs: ufunc(arg(zs))), True
+    if isinstance(e, Pow):
+        base, scalar = _compile(e.base, n)
+        k = e.exponent
+        if scalar:
+            one = np.complex128(1)
+            return (lambda zs: _power(base(zs), k, np.multiply, one)), True
+        unit = _embed(np.complex128(1), dim)
+
+        def clifford_mul(a, b):
+            return _batch_mul_coeffs(a, b, n)
+
+        return (lambda zs: _power(_rows(base(zs), len(zs)), k, clifford_mul, unit)), False
+    left, left_scalar = _compile(e.left, n)
+    right, right_scalar = _compile(e.right, n)
+    if isinstance(e, Div):
+
+        def divide(zs):
+            divisor = right(zs)
+            small = np.abs(divisor) < 1e-150
+            if small.any():
+                z = zs[np.flatnonzero(np.broadcast_to(small, zs.shape))[0]]
+                raise SingularInputError(f"division by (near-)zero divisor at z={z}")
+            inverse = 1.0 / divisor
+            numerator = left(zs)
+            return numerator * (inverse if left_scalar else inverse[..., None])
+
+        return divide, left_scalar
+    if isinstance(e, (Add, Sub)):
+        op = np.add if isinstance(e, Add) else np.subtract
+        if left_scalar and not right_scalar:
+            left = _as_clifford(left, dim)
+        elif right_scalar and not left_scalar:
+            right = _as_clifford(right, dim)
+        return (lambda zs: op(left(zs), right(zs))), left_scalar and right_scalar
+    if isinstance(e, Mul):
+        if left_scalar and right_scalar:
+            return (lambda zs: left(zs) * right(zs)), True
+        if left_scalar:
+            return (lambda zs: left(zs)[..., None] * right(zs)), False
+        if right_scalar:
+            return (lambda zs: left(zs) * right(zs)[..., None]), False
+        return (lambda zs: _batch_mul_coeffs(
+            _rows(left(zs), len(zs)), _rows(right(zs), len(zs)), n)), False
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _compile_batch(e: Expr, n: int) -> Batch:
+    """Compile ``e`` into a function from a (N,) array of complex points to
+    the (N, 2**n) coefficient array of its values there.
+
+    Raises :class:`SingularInputError` at the first division whose divisor
+    falls below 1e-150 at some point, and :class:`NumericError` when a value
+    is not finite (an overflow, say).
+    """
+    node, scalar = _compile(e, n)
+    dim = 1 << n
+
+    def batch(zs: np.ndarray) -> np.ndarray:
+        zs = np.asarray(zs, dtype=np.complex128)
+        with np.errstate(all="ignore"):
+            value = node(zs)
+        out = np.zeros((len(zs), dim), dtype=np.complex128)
+        if scalar:
+            out[:, 0] = value
+        else:
+            out[:] = value
+        finite = np.isfinite(out).all(axis=1)
+        if not finite.all():
+            z = zs[np.argmin(finite)]
+            raise NumericError(f"non-finite value at z={z}")
+        return out
+
+    return batch
+
+
+def evaluate(e: Expr, z: complex, n: int) -> CMultivector:
+    """Evaluate at a complex point; the value lives in the rank-n
+    complexified algebra.  Compiles ``e`` on every call; a function built
+    by :func:`stem_function` compiles once and also evaluates whole arrays
+    of points (``StemFunction.values_at``)."""
+    return CMultivector(n, _compile_batch(e, n)(np.array([complex(z)]))[0])
 
 
 # -- differentiation -------------------------------------------------------------
@@ -495,60 +622,50 @@ def pretty(e: Expr) -> str:
 def _divisors(e: Expr, acc: list[Expr]) -> list[Expr]:
     if isinstance(e, Div):
         acc.append(e.right)
-        _divisors(e.left, acc)
-        _divisors(e.right, acc)
-    elif isinstance(e, (Add, Sub, Mul)):
-        _divisors(e.left, acc)
-        _divisors(e.right, acc)
-    elif isinstance(e, Neg):
-        _divisors(e.inner, acc)
-    elif isinstance(e, Pow):
-        _divisors(e.base, acc)
-    elif isinstance(e, Func):
-        _divisors(e.arg, acc)
+    for child in _children(e):
+        _divisors(child, acc)
     return acc
 
 
 def _find_poles(divisor: Expr, n: int, radius: float) -> list[complex]:
     """Heuristic zero scan of a scalar divisor: coarse grid seeds polished
-    by Newton iteration with the symbolic derivative."""
-    derivative = differentiate(divisor)
+    by Newton iteration with the symbolic derivative, all seeds at once.
+    A seed whose iterates overflow is dropped, not reported."""
+    value_node, _ = _compile(divisor, n)
+    slope_node, _ = _compile(differentiate(divisor), n)
 
-    def value(z: complex) -> complex:
-        return complex(evaluate(divisor, z, n).coeffs[0])
-
-    def slope(z: complex) -> complex:
-        return complex(evaluate(derivative, z, n).coeffs[0])
+    def value(zs: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(value_node(zs), zs.shape)
 
     grid = np.linspace(-radius, radius, 41)
-    seeds = []
-    magnitudes = []
-    for x in grid:
-        for y in grid:
-            z = complex(x, y)
-            if abs(z) >= radius:
-                continue
-            m = abs(value(z))
-            magnitudes.append(m)
-            seeds.append(z)
-    if not seeds:
+    points = (grid[:, None] + 1j * grid[None, :]).ravel()
+    seeds = points[np.abs(points) < radius]
+    if not len(seeds):
         return []
-    cutoff = 0.25 * float(np.median(magnitudes)) + 1e-30
-    roots: list[complex] = []
-    for z, m in zip(seeds, magnitudes):
-        if m > cutoff:
-            continue
+    with np.errstate(all="ignore"):
+        magnitudes = np.abs(value(seeds))
+        # the median by sorting: np.median would import numpy.ma (half a MB)
+        ordered = np.sort(magnitudes)
+        median = 0.5 * (ordered[(len(ordered) - 1) // 2] + ordered[len(ordered) // 2])
+        cutoff = 0.25 * float(median) + 1e-30
+        zs = seeds[magnitudes <= cutoff]
+        active = np.ones(len(zs), dtype=bool)
         for _ in range(40):
-            dv = slope(z)
-            if abs(dv) < 1e-14:
+            idx = np.flatnonzero(active)
+            if not len(idx):
                 break
-            step = value(z) / dv
-            z = z - step
-            if abs(step) < 1e-13 * (1.0 + abs(z)):
-                break
-        if abs(z) < radius and abs(value(z)) < 1e-8:
-            if all(abs(z - r) > 1e-7 * (1.0 + abs(z)) for r in roots):
-                roots.append(z)
+            z = zs[idx]
+            dv = np.broadcast_to(slope_node(z), z.shape)
+            flat = np.abs(dv) < 1e-14
+            step = value(z) / np.where(flat, 1.0, dv)
+            z = np.where(flat, z, z - step)
+            zs[idx] = z
+            active[idx[flat | (np.abs(step) < 1e-13 * (1.0 + np.abs(z)))]] = False
+        found = zs[(np.abs(zs) < radius) & (np.abs(value(zs)) < 1e-8)]
+    roots: list[complex] = []
+    for z in found.tolist():
+        if all(abs(z - r) > 1e-7 * (1.0 + abs(z)) for r in roots):
+            roots.append(z)
     return roots
 
 
@@ -567,6 +684,7 @@ def stem_function(
     """
     expr = parse(source, n) if isinstance(source, str) else source
     validate(expr)
+    batch = _compile_batch(expr, n)
     label = pretty(expr)
     if domain is None:
         poles: list[complex] = []
@@ -575,7 +693,7 @@ def stem_function(
         domain = PlanarDomain([Disk(0j, radius)], punctures=poles)
 
     def fn(z: complex) -> CMultivector:
-        return evaluate(expr, z, n)
+        return CMultivector(n, batch(np.array([z]))[0])
 
     def derivative() -> StemFunction:
         return stem_function(differentiate(expr), n, domain=domain, radius=radius)
@@ -588,4 +706,5 @@ def stem_function(
         is_scalar=is_scalar_expr(expr),
         derivative=derivative,
         label=label,
+        batch=batch,
     )

@@ -226,7 +226,9 @@ class StemFunction:
     (plain complex return values are wrapped).  The flags record what the
     caller claims: ``is_analytic`` enables the contour machinery and
     ``is_scalar`` marks complex-valued functions.  ``derivative`` optionally
-    supplies the complex derivative as another stem function.
+    supplies the complex derivative as another stem function, and ``batch``
+    optionally evaluates at a whole (N,) array of points at once, returning
+    the (N, 2**n) complex coefficient array (see :meth:`values_at`).
     """
 
     n: int
@@ -236,6 +238,7 @@ class StemFunction:
     is_scalar: bool = False
     derivative: Callable[[], "StemFunction"] | None = None
     label: str = ""
+    batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, z: complex) -> CMultivector:
         value = self.fn(complex(z))
@@ -244,6 +247,17 @@ class StemFunction:
         if isinstance(value, Multivector):
             return value.to_cmultivector()
         return CMultivector.from_scalar(self.n, complex(value))
+
+    def values_at(self, zs: np.ndarray) -> np.ndarray:
+        """Values at a (N,) array of points as a (N, 2**n) coefficient array:
+        one call of the batch evaluator, or a loop over points without one."""
+        zs = np.asarray(zs, dtype=np.complex128)
+        if self.batch is not None:
+            return self.batch(zs)
+        out = np.empty((len(zs), 1 << self.n), dtype=np.complex128)
+        for i, z in enumerate(zs):
+            out[i] = self(z).coeffs
+        return out
 
     def scalar_eval(self, z: complex) -> complex:
         value = self(z)

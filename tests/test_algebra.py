@@ -219,3 +219,38 @@ def test_immutability():
         mv.n = 3
     with pytest.raises(ValueError):
         mv.coeffs[0] = 5.0
+
+
+def test_mul_tables_match_basis_mul():
+    from cliffcalc.algebra import _mul_tables
+
+    for n in range(7):
+        sign, partner = _mul_tables(n)
+        dim = 1 << n
+        for j in range(dim):
+            for l in range(dim):
+                assert partner[j, l] == j ^ l
+                assert sign[j, l] == basis_mul(j, j ^ l, n)[0]
+
+
+def test_power_by_squaring_matches_repeated_products(rng):
+    for n in range(5):
+        for _ in range(3):
+            x = random_mv(rng, n, complex_=True, scale=0.6)
+            expected = CMultivector.from_scalar(n, 1)
+            for k in range(13):
+                assert isclose(x ** k, expected, tol=1e-13)
+                expected = expected * x
+
+
+def test_large_power_is_fast():
+    import cmath
+    import time
+
+    # 0.6 + 0.8 e1 multiplies like the unit complex number 0.6 + 0.8i
+    start = time.perf_counter()
+    value = Multivector(1, [0.6, 0.8]) ** 200000
+    assert time.perf_counter() - start < 0.05
+    expected = cmath.exp(200000j * cmath.phase(0.6 + 0.8j))
+    assert abs(value.coeffs[0] - expected.real) <= 1e-9
+    assert abs(value.coeffs[1] - expected.imag) <= 1e-9

@@ -120,3 +120,36 @@ def test_job_file_replay(tmp_path, capsysbinary):
 def test_render_job_bytes_deterministic():
     job = {"command": "spectrum", "args": {"paravector": "1+2e1", "n": 1}}
     assert render_job(job) == render_job(job)
+
+
+@pytest.mark.parametrize("nodes", ["0", "-4"])
+def test_eval_rejects_nonpositive_node_counts(capsysbinary, nodes):
+    code, out = run_cli(capsysbinary, [
+        "eval", "-n", "2", "--fn", "z^2", "--at", "e1+e2", "--method", "both", "--nodes", nodes])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+def test_dsl_failures_are_error_documents(capsysbinary):
+    for fn, code_expected in [("1e+400*z", 1), ("(" * 300 + "z" + ")" * 300, 1),
+                              ("exp(1000*z)", 2)]:
+        code, out = run_cli(capsysbinary, ["eval", "-n", "1", "--fn", fn, "--at", "1"])
+        assert code == code_expected, fn
+        assert "error" in json.loads(out)
+
+
+def test_file_errors_are_error_documents(tmp_path, capsysbinary):
+    missing = str(tmp_path / "missing.json")
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{not json")
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    for argv in (["op-spectrum", "--matrix", missing],
+                 ["op-eval", "--matrix", str(garbled), "--fn", "z"],
+                 ["eval", "-n", "1", "--fn", "z", "--at", "1", "--domain", missing],
+                 ["--job", missing],
+                 ["--job", str(garbled)],
+                 ["--job", str(listed)]):
+        code, out = run_cli(capsysbinary, argv)
+        assert code == 1, argv
+        assert json.loads(out)["error"]["type"] in ("InputError", "FormatError"), argv

@@ -204,3 +204,49 @@ def test_quadrature_nonconvergence_error():
     contour = Contour((Circle(0j, 1.0),), nodes=64)
     with pytest.raises(ConvergenceError):
         cauchy_transform(F, Paravector.from_scalar(1, 0.3), contour=contour)
+
+
+def counting_cubic(n, calls):
+    def fn(z):
+        calls.append(z)
+        return CMultivector.from_scalar(n, z ** 3 - 2 * z + 1)
+
+    return StemFunction(n=n, fn=fn, domain=BIG, is_analytic=True, is_scalar=True)
+
+
+def test_nested_doubling_samples_each_node_once():
+    calls = []
+    kappa = Paravector(2, [0.5, 1.0, 0.0])
+    value = cauchy_transform(counting_cubic(2, calls), kappa)
+    data = eigenvalues(kappa)
+    assert len(build_contour(data.points, BIG, exclude=BIG.punctures).circles) == 2
+    # 64 nodes per circle, then only the 64 new odd nodes of 128
+    assert len(calls) == 2 * 128 and len(set(calls)) == len(calls)
+    expected = evaluate_stem(scalar_fn(2, lambda z: z ** 3 - 2 * z + 1), kappa)
+    assert (value - expected).norm() <= 1e-10
+
+
+def test_nested_doubling_is_bit_identical_to_full_resampling():
+    F = StemFunction(n=1, fn=lambda z: CMultivector(1, [cmath.exp(z), z * cmath.sin(z)]),
+                     domain=BIG, is_analytic=True)
+    kappa = Paravector(1, [0.3, 0.9])
+    hint = eigenvalues(kappa).points
+    nested = CauchyTransform(F, spectrum_hint=hint, nodes=16)
+    for num in (16, 32, 64, 128, 32, 16):
+        full = CauchyTransform(F, spectrum_hint=hint, nodes=16)
+        for got, want in zip(nested._values(num, 0), full._values(num, 0)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(nested._estimate(kappa, num, 0), full._estimate(kappa, num, 0))
+
+
+def test_node_count_must_be_positive():
+    from cliffcalc.errors import DomainError
+
+    circles = (Circle(0j, 1.0),)
+    for nodes in (0, -4):
+        with pytest.raises(DomainError):
+            Contour(circles, nodes=nodes)
+        with pytest.raises(DomainError):
+            CauchyTransform(scalar_fn(1, lambda z: z), spectrum_hint=[0.5], nodes=nodes)
+        with pytest.raises(DomainError):
+            CauchyTransform(scalar_fn(1, lambda z: z), Contour(circles), nodes=nodes)

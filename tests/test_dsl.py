@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,3 +187,135 @@ def test_programmatic_nonstem_trees():
     bad = stem_function(Mul(Lit(1j), Var()), 2)
     ok, worst = verify_stem(bad, bad.domain, 64)
     assert not ok and worst > 0.1
+
+
+# -- compiled batch evaluation --------------------------------------------------
+
+def reference_eval(e, z, n):
+    """Per-point tree walk over Multivector arithmetic and cmath: an
+    independent check on the compiled evaluator."""
+    import cmath
+
+    from cliffcalc.dsl import CliffLit, Div, Func, Lit, Neg, Pow, Sub, Var
+
+    def scalar(value):
+        return complex(value.coeffs[0]) if isinstance(value, (Multivector, CMultivector)) \
+            else complex(value)
+
+    def walk(e):
+        if isinstance(e, Lit):
+            return complex(e.value)
+        if isinstance(e, CliffLit):
+            return e.value
+        if isinstance(e, Var):
+            return z
+        if isinstance(e, Add):
+            return walk(e.left) + walk(e.right)
+        if isinstance(e, Sub):
+            return walk(e.left) - walk(e.right)
+        if isinstance(e, Mul):
+            return walk(e.left) * walk(e.right)
+        if isinstance(e, Div):
+            return walk(e.left) * (1.0 / scalar(walk(e.right)))
+        if isinstance(e, Neg):
+            return -walk(e.inner)
+        if isinstance(e, Pow):
+            out = 1.0
+            for _ in range(e.exponent):
+                out = out * walk(e.base)
+            return out
+        if isinstance(e, Func):
+            return getattr(cmath, e.name)(scalar(walk(e.arg)))
+        raise TypeError(e)
+
+    value = walk(e)
+    if isinstance(value, (Multivector, CMultivector)):
+        return value.coeffs.astype(complex)
+    return CMultivector.from_scalar(n, value).coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=4),
+    rational=st.booleans(),
+    squared=st.booleans(),
+    order=st.integers(min_value=0, max_value=2),
+)
+def test_batch_matches_pointwise(seed, n, rational, squared, order):
+    from cliffcalc.stem import PlanarDomain
+    from cliffcalc.verify import random_stem_source
+
+    rng = np.random.default_rng(seed)
+    src = random_stem_source(rng, n, entire_prob=0.5)
+    if squared:  # a power of a Clifford-valued base
+        src = f"({src})^2"
+    if rational:  # poles at |z| >= 2.8, outside the sampled disk
+        c = round(float(rng.uniform(8.0, 16.0)), 3)
+        src = f"({src})/(z^2 {'+' if rng.random() < 0.5 else '-'} {c})"
+    expr = parse(src, n)
+    for _ in range(order):
+        expr = differentiate(expr)
+    F = stem_function(expr, n, domain=PlanarDomain.disk(0, 10.0))
+    zs = 2.5 * np.sqrt(rng.random(16)) * np.exp(2j * np.pi * rng.random(16))
+    batch = F.values_at(zs)
+    assert batch.shape == (16, 1 << n)
+    for z, row in zip(zs, batch):
+        ref = reference_eval(expr, complex(z), n)
+        scale = max(1.0, float(np.linalg.norm(ref)))
+        assert np.linalg.norm(row - ref) <= 1e-13 * scale, (src, order, z)
+        assert np.linalg.norm(row - evaluate(expr, z, n).coeffs) <= 1e-13 * scale
+
+
+def test_blackbox_values_at_loops_over_points():
+    from cliffcalc.stem import PlanarDomain, StemFunction
+
+    F = StemFunction(n=1, fn=lambda z: CMultivector(1, [z, 2 * z]), domain=PlanarDomain.disk())
+    assert F.batch is None
+    assert np.array_equal(F.values_at(np.array([1j, 2.0])), [[1j, 2j], [2.0, 4.0]])
+
+
+def test_batch_division_reports_first_singular_point():
+    from cliffcalc.stem import PlanarDomain
+
+    F = stem_function("1/(z - 1)", 1, domain=PlanarDomain.disk(0, 10.0))
+    with pytest.raises(SingularInputError, match=r"z=\(1\+0j\)"):
+        F.values_at(np.array([0.5, 1.0, 2.0, 1.0]))
+
+
+def test_large_exponent_by_squaring():
+    import time
+
+    start = time.perf_counter()
+    value = evaluate(parse("(0.6 + 0.8e1)^200000 + z^2000000", 1), 1.0, 1)
+    assert time.perf_counter() - start < 0.05
+    a, b = (value.coeffs - [1.0, 0.0]).real  # the power has modulus one
+    assert abs(np.hypot(a, b) - 1.0) < 1e-9
+
+
+def test_nonfinite_values_raise_numeric_error():
+    from cliffcalc.errors import NumericError
+
+    F = stem_function("exp(1000*z)", 1)
+    with pytest.raises(NumericError):
+        F(1.0)
+    with pytest.raises(NumericError):
+        stem_function("(1+e1)^200000", 1)(0.0)
+
+
+def test_parse_rejects_nonfinite_literals():
+    with pytest.raises(ParseError):
+        parse("1e+400*z", 1)
+    assert parse("1e-400*z", 1) == Mul(Lit(0j), Var())
+
+
+def test_parse_caps_nesting_depth():
+    from cliffcalc.dsl import MAX_DEPTH
+
+    assert parse("(" * 50 + "z" + ")" * 50, 1) == Var()
+    for src in ["(" * 300 + "z" + ")" * 300,
+                "exp(" * 300 + "z" + ")" * 300,
+                "-" * 300 + "z",
+                " + ".join(["z"] * (MAX_DEPTH + 1))]:
+        with pytest.raises(ParseError):
+            parse(src, 1)
