@@ -28,7 +28,6 @@ from .operators import (
 )
 from .spectral import eigenvalues, resolvent
 from .stem import PlanarDomain, evaluate_stem
-from .verify import run_suite, suite_names
 
 __all__ = ["main", "render_job", "run_job"]
 
@@ -185,8 +184,7 @@ def cmd_op_eval(args: dict) -> dict:
         out["riesz"] = operator_to_json(via_riesz)
     if method in ("slice", "both"):
         s_unit = _slice_unit(args, T.n)
-        via_slice = slice_calculus_eval(
-            F.at, T, s_unit, domain=F.domain, radius_fraction=radius_frac, tol=tol)
+        via_slice = slice_calculus_eval(F, T, s_unit, radius_fraction=radius_frac, tol=tol)
         out["slice"] = operator_to_json(via_slice)
         out["slice_unit"] = _paravector_json(s_unit)
     if method == "both":
@@ -195,6 +193,8 @@ def cmd_op_eval(args: dict) -> dict:
 
 
 def cmd_check(args: dict) -> dict:
+    from .verify import run_suite  # only this command needs the suites
+
     seed = int(args.get("seed", 0))
     results = run_suite(args.get("suite", "all"), seed=seed)
     return {
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a named verification suite")
     common(p, needs_n=False)
-    p.add_argument("--suite", default="all", choices=suite_names())
+    p.add_argument("--suite", default="all", help="suite name, or all")
     p.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -333,6 +333,7 @@ def main(argv=None) -> int:
     if not namespace.job and not namespace.command:
         parser.print_help()
         return 1
+    code = 0
     try:
         if namespace.job:
             job = _load_json(namespace.job, "job")
@@ -344,24 +345,24 @@ def main(argv=None) -> int:
             job = _namespace_to_job(namespace)
         payload = render_job(job)
     except ToolkitError as exc:
-        error = {
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        payload = (json.dumps(error, sort_keys=True, indent=2) + "\n").encode()
-        _emit(namespace, payload)
-        return getattr(exc, "exit_code", 2)
-    _emit(namespace, payload)
-    return 0
-
-
-def _emit(namespace, payload: bytes) -> None:
+        payload, code = _error_document(exc), getattr(exc, "exit_code", 2)
     out = getattr(namespace, "out", None)
     if out:
-        with open(out, "wb") as handle:
-            handle.write(payload)
-    else:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
+        try:
+            with open(out, "wb") as handle:
+                handle.write(payload)
+            return code
+        except OSError as exc:
+            error = InputError(f"cannot write report file {out!r}: {exc.strerror or exc}")
+            payload, code = _error_document(error), error.exit_code
+    sys.stdout.buffer.write(payload)
+    sys.stdout.buffer.flush()
+    return code
+
+
+def _error_document(exc: ToolkitError) -> bytes:
+    error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+    return (json.dumps(error, sort_keys=True, indent=2) + "\n").encode()
 
 
 if __name__ == "__main__":

@@ -42,6 +42,9 @@ MAX_NODES = 4096
 QUAD_TOL = 1e-12
 RADIUS_FRACTION = 0.5
 FD_STEP = 1e-4
+# Most entries one integrand call of contour_quadrature may return: about
+# 4 MB, four (256, 256) matrices at the operator size cap.
+_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -165,33 +168,51 @@ def build_contour(
 
 
 def contour_quadrature(
-    node_fn: Callable[[complex, complex], np.ndarray],
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     contour: Contour,
     tol: float = QUAD_TOL,
     max_nodes: int = MAX_NODES,
     adaptive: bool = True,
 ) -> np.ndarray:
-    """Integrate ``node_fn(z, dz/dt)`` over the contour parameter ``t``.
+    """Integrate ``fn(zs, dz/dt)`` over the contour parameter ``t``.
 
-    Returns ``sum over circles of (2 pi / N) * sum_k node_fn(z_k, z'_k)``,
-    i.e. the raw parametric line integral; callers fold in their own
-    normalization and measure.  Nodes double until two successive estimates
-    differ by less than ``tol`` times the result scale.
+    ``fn`` maps a (N,) array of nodes on one circle (at most
+    ``_CHUNK_ENTRIES`` values' worth) to the (N, ...) stack of its values.
+    Returns ``sum over circles of (2 pi / N) * sum_k fn(z_k, z'_k)``, i.e.
+    the raw parametric line integral; callers fold in their own
+    normalization and measure.  The nodes double until two successive
+    estimates agree (see :func:`_doubling`); they are nested as in
+    :meth:`CauchyTransform._values`, so a doubling evaluates only the new
+    odd nodes and adds them to each circle's raw sum.
     """
+    per_node = 0  # entries in one node's value, known after the first call
 
-    def estimate(num: int) -> np.ndarray:
-        total = None
-        t = 2.0 * np.pi * np.arange(num) / num
-        phases = np.exp(1j * t)
-        for circle in contour.circles:
-            zs = circle.center + circle.radius * phases
-            dzs = 1j * circle.radius * phases
-            values = [np.asarray(node_fn(z, dz)) for z, dz in zip(zs, dzs)]
-            part = np.sum(values, axis=0) * (2.0 * np.pi / num)
-            total = part if total is None else total + part
+    def raw_sum(circle: Circle, ks: np.ndarray, num: int) -> np.ndarray:
+        nonlocal per_node
+        phases = np.exp(1j * (2.0 * np.pi * ks / num))
+        zs, dzs = circle.center + circle.radius * phases, 1j * circle.radius * phases
+        total, start = 0.0, 0
+        while start < len(zs):
+            stop = start + (max(1, _CHUNK_ENTRIES // per_node) if per_node else 1)
+            values = fn(zs[start:stop], dzs[start:stop])
+            per_node, start = values[0].size, stop
+            total = total + values.sum(axis=0)
         return total
 
-    num = contour.nodes
+    sums = [0.0] * len(contour.circles)
+
+    def estimate(num: int) -> np.ndarray:
+        ks = np.arange(num) if num == contour.nodes else np.arange(1, num, 2)
+        sums[:] = [total + raw_sum(circle, ks, num) for total, circle in zip(sums, contour.circles)]
+        return sum(sums) * (2.0 * np.pi / num)
+
+    return _doubling(estimate, contour.nodes, tol, max_nodes, adaptive, "contour quadrature")
+
+
+def _doubling(estimate: Callable[[int], np.ndarray], num: int, tol: float, max_nodes: int,
+             adaptive: bool, what: str) -> np.ndarray:
+    """``estimate(num)``, with the node count doubling (when ``adaptive``) until
+    two successive estimates differ by less than ``tol`` times the result scale."""
     current = estimate(num)
     if not adaptive:
         return current
@@ -202,20 +223,24 @@ def contour_quadrature(
         if float(np.linalg.norm(refined - current)) <= tol * scale:
             return refined
         current = refined
-    raise ConvergenceError(
-        f"contour quadrature not converged at {max_nodes} nodes per circle"
-    )
+    raise ConvergenceError(f"{what} not converged at {max_nodes} nodes per circle")
 
 
-def _check_contour(F: StemFunction, contour: Contour, spectrum_points) -> None:
-    for s in spectrum_points:
+def _check_contour(contour: Contour, points: Sequence[complex], F: StemFunction | None = None):
+    """Contour admissibility: every point enclosed, none within 1e-9 (relative)
+    of the trace, and a stem function ``F`` analytic with every circle inside
+    its domain."""
+    if F is not None and not F.is_analytic:
+        raise DomainError(f"{F.label or 'function'} is not marked analytic: no contour integral")
+    for s in points:
         if not contour.encloses(s):
             raise ContourSpectrumError(f"spectral point {s} is not enclosed by the contour")
         if contour.margin(s) <= 1e-9 * (1.0 + abs(s)):
             raise ContourSpectrumError(f"contour passes through the spectral point {s}")
-    for circle in contour.circles:
-        if F.domain.clearance(circle.center) <= circle.radius:
-            raise DomainError(f"contour circle {circle} is not inside the function domain")
+    if F is not None:
+        for circle in contour.circles:
+            if F.domain.clearance(circle.center) <= circle.radius:
+                raise DomainError(f"contour circle {circle} is not inside the function domain")
 
 
 class CauchyTransform:
@@ -312,21 +337,10 @@ class CauchyTransform:
 
     def eval(self, kappa: Paravector, order: int = 0) -> CMultivector:
         data = eigenvalues(kappa)
-        _check_contour(self.F, self.contour, data.points)
-        num = self.contour.nodes
-        current = self._estimate(kappa, num, order)
-        if not self.adaptive:
-            return CMultivector(self.F.n, current)
-        while num < self.max_nodes:
-            num *= 2
-            refined = self._estimate(kappa, num, order)
-            scale = max(1.0, float(np.linalg.norm(refined)))
-            if float(np.linalg.norm(refined - current)) <= self.tol * scale:
-                return CMultivector(self.F.n, refined)
-            current = refined
-        raise ConvergenceError(
-            f"Cauchy transform not converged at {self.max_nodes} nodes per circle"
-        )
+        _check_contour(self.contour, data.points, self.F)
+        value = _doubling(lambda num: self._estimate(kappa, num, order), self.contour.nodes,
+                         self.tol, self.max_nodes, self.adaptive, "Cauchy transform")
+        return CMultivector(self.F.n, value)
 
     __call__ = eval
 
@@ -369,10 +383,10 @@ def _derivative_via_cauchy(F: StemFunction, order: int) -> StemFunction:
             raise DomainError(f"point {z} too close to the domain boundary to differentiate")
         local = Contour((Circle(z, rho),), nodes=max(DEFAULT_NODES, 16 * (order + 1)))
 
-        def node(w: complex, dw: complex) -> np.ndarray:
-            return F(w).coeffs * (dw / (w - z) ** (order + 1))
+        def integrand(ws: np.ndarray, dws: np.ndarray) -> np.ndarray:
+            return F.values_at(ws) * (dws / (ws - z) ** (order + 1))[:, None]
 
-        raw = contour_quadrature(node, local, tol=QUAD_TOL)
+        raw = contour_quadrature(integrand, local, tol=QUAD_TOL)
         return CMultivector(F.n, raw * (factorial / (2.0j * np.pi)))
 
     return StemFunction(n=F.n, fn=fn, domain=F.domain, is_analytic=True, is_scalar=F.is_scalar)

@@ -542,14 +542,16 @@ def differentiate(e: Expr) -> Expr:
             return Lit(0)
         if is_scalar_expr(e.base):
             return _mul(Lit(e.exponent), _mul(_pow(e.base, e.exponent - 1), db))
-        # noncommuting base: sum of u^i u' u^(k-1-i)
-        terms = []
-        for i in range(e.exponent):
-            terms.append(_mul(_pow(e.base, i), _mul(db, _pow(e.base, e.exponent - 1 - i))))
-        out = terms[0]
-        for t in terms[1:]:
-            out = _add(out, t)
-        return out
+        # noncommuting base: (u^k)' = (u^a)' u^b + u^a (u^b)' with a + b = k;
+        # halving k keeps the tree depth logarithmic in the exponent
+        def power_derivative(k: int) -> Expr:
+            if k == 1:
+                return db
+            a = k // 2
+            return _add(_mul(power_derivative(a), _pow(e.base, k - a)),
+                        _mul(_pow(e.base, a), power_derivative(k - a)))
+
+        return power_derivative(e.exponent)
     if isinstance(e, Func):
         da = differentiate(e.arg)
         outer = _FUNCTIONS[e.name][1]

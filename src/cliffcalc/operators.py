@@ -23,9 +23,10 @@ from .algebra import (
     Paravector,
     digits_from_mask,
     mask_from_digits,
+    _batch_mul_coeffs,
     _mul_tables,
 )
-from .contour import Contour, build_contour, contour_quadrature
+from .contour import Contour, _check_contour, build_contour, contour_quadrature
 from .errors import (
     ContourSpectrumError,
     DomainError,
@@ -36,6 +37,7 @@ from .errors import (
     SingularInputError,
     StemViolationError,
 )
+from .spectral import idempotents
 from .stem import PlanarDomain, StemFunction, slice_point
 
 __all__ = [
@@ -68,47 +70,40 @@ FLAT_TOL = 1e-9
 
 
 @lru_cache(maxsize=None)
-def _blade_left_mult(n: int, mask: int) -> np.ndarray:
-    """Signed permutation of left multiplication by a basis blade on the
-    2^n blade coefficients."""
-    dim = 1 << n
-    sign, _ = _mul_tables(n)
-    out = np.zeros((dim, dim))
-    for k in range(dim):
-        out[mask ^ k, k] = sign[mask, mask ^ k]  # sign of e_mask e_k
-    out.setflags(write=False)
-    return out
+def _left_mult_signs(n: int) -> np.ndarray:
+    """Signs of left multiplication on the 2^n blade coefficients: the matrix
+    of ``a`` is ``a[K ^ L] * signs[K, L]``, the sign of e_{K^L} e_L = +-e_K."""
+    sign, partner = _mul_tables(n)
+    signs = sign[partner, np.arange(1 << n)[:, None]]
+    signs.setflags(write=False)
+    return signs
+
+
+def _left_mult(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Left-multiplication matrices of a (..., 2^n) stack of coefficient rows."""
+    return coeffs[..., _mul_tables(n)[1]] * _left_mult_signs(n)
+
+
+def _apply_left(blocks: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """``kron(blocks[k], I_d) @ mats[k]`` for stacks (N, 2^n, 2^n) and (N, m, m):
+    the blade blocks act on the blade-major block rows of ``mats``."""
+    return (blocks @ mats.reshape(len(mats), blocks.shape[-1], -1)).reshape(mats.shape)
 
 
 def left_mult_matrix(a) -> np.ndarray:
     """Matrix of left multiplication by ``a`` on the blade coefficients."""
     if isinstance(a, Paravector):
         a = a.to_multivector()
-    dim = 1 << a.n
-    dtype = np.complex128 if np.iscomplexobj(a.coeffs) else np.float64
-    out = np.zeros((dim, dim), dtype=dtype)
-    for j in range(dim):
-        c = a.coeffs[j]
-        if c != 0:
-            out += c * _blade_left_mult(a.n, j)
-    return out
+    return _left_mult(a.coeffs, a.n)
 
 
 def right_mult_matrix(a) -> np.ndarray:
-    """Matrix of right multiplication by ``a`` on the blade coefficients."""
+    """Matrix of right multiplication by ``a`` on the blade coefficients:
+    entry [L, K] is ``a[K ^ L]`` times the sign of e_K e_{K^L}."""
     if isinstance(a, Paravector):
         a = a.to_multivector()
-    dim = 1 << a.n
-    sign, _ = _mul_tables(a.n)
-    dtype = np.complex128 if np.iscomplexobj(a.coeffs) else np.float64
-    out = np.zeros((dim, dim), dtype=dtype)
-    for j in range(dim):
-        c = a.coeffs[j]
-        if c == 0:
-            continue
-        for k in range(dim):
-            out[k ^ j, k] += c * sign[k, k ^ j]  # sign of e_k e_j
-    return out
+    sign, partner = _mul_tables(a.n)
+    return (a.coeffs[partner] * sign).T
 
 
 @dataclass(frozen=True)
@@ -165,10 +160,12 @@ class CliffordOperator:
         Index order is blade-major: entry ``(K*d + i, L*d + j)``.  Real
         components make this a real-entried complex matrix.
         """
-        out = np.zeros((self.size, self.size), dtype=np.complex128)
+        blocks = np.zeros((1 << self.n, self.d, self.d))
         for mask, mat in self.components.items():
-            out += np.kron(_blade_left_mult(self.n, mask), mat)
-        return out
+            blocks[mask] = mat
+        # block (K, L) is the component of mask K ^ L times its blade sign
+        out = _left_mult(blocks.transpose(1, 2, 0), self.n).transpose(2, 0, 3, 1)
+        return out.reshape(self.size, self.size).astype(np.complex128)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.matrix() @ np.asarray(vec, dtype=np.complex128)
@@ -281,26 +278,25 @@ class MembershipResult:
         return self.member
 
 
-def _quadratic_pencil(T: CliffordOperator, kappa: Paravector) -> np.ndarray:
+def _pencil_margin(T: CliffordOperator, kappa: Paravector, tol: float) -> tuple[np.ndarray, float]:
+    """The pencil ``T^2 - 2 Re(k) T + |k|^2`` and its smallest singular value over
+    ``tol`` times its max-norm: below 1, ``kappa`` is in the Clifford spectrum."""
+    if kappa.n != T.n:
+        raise RankMismatchError(f"rank mismatch: operator {T.n}, paravector {kappa.n}")
     matrix = T.matrix()
     kappa_norm2 = float(np.dot(kappa.components, kappa.components))
-    return matrix @ matrix - 2.0 * kappa.scalar * matrix + kappa_norm2 * np.eye(T.size)
+    pencil = matrix @ matrix - 2.0 * kappa.scalar * matrix + kappa_norm2 * np.eye(T.size)
+    smallest = float(np.linalg.svd(pencil, compute_uv=False)[-1])
+    return pencil, smallest / (tol * max(1.0, float(np.max(np.abs(pencil)))))
 
 
 def clifford_spectrum_contains(
     T: CliffordOperator, kappa: Paravector, tol: float = SINGULARITY_TOL
 ) -> MembershipResult:
-    """Membership of a paravector in the Clifford spectrum of ``T``.
-
-    Tests singularity of ``T^2 - 2 Re(k) T + |k|^2`` by the smallest singular
-    value against ``tol`` times the matrix max-norm.
-    """
-    if kappa.n != T.n:
-        raise RankMismatchError(f"rank mismatch: operator {T.n}, paravector {kappa.n}")
-    pencil = _quadratic_pencil(T, kappa)
-    smallest = float(np.linalg.svd(pencil, compute_uv=False)[-1])
-    threshold = tol * max(1.0, float(np.max(np.abs(pencil))))
-    return MembershipResult(member=smallest < threshold, margin=smallest / threshold)
+    """Membership of a paravector in the Clifford spectrum of ``T``: whether
+    the quadratic pencil is singular (see ``_pencil_margin``)."""
+    _, margin = _pencil_margin(T, kappa, tol)
+    return MembershipResult(member=margin < 1.0, margin=margin)
 
 
 def clifford_spectrum_slice(T: CliffordOperator, s_unit: Paravector) -> list[Paravector]:
@@ -368,45 +364,45 @@ def operator_from_matrix(
 
 # -- Riesz-Dunford calculus ----------------------------------------------------
 
-def _operator_valued(F, d: int, n: int) -> Callable[[complex], np.ndarray]:
-    """Normalize the function argument of the contour calculus.
-
-    Stem functions (values in the complexified algebra) act as left
-    multiplications; raw callables must already return complexified
-    matrices satisfying F(conj z) = conj F(z) entrywise.
-    """
-    if isinstance(F, StemFunction):
-        if F.n != n:
-            raise RankMismatchError(f"rank mismatch: function {F.n}, operator {n}")
-        eye = np.eye(d)
-
-        def matrix_fn(z: complex) -> np.ndarray:
-            return np.kron(left_mult_matrix(F(z)), eye)
-
-        return matrix_fn
-    if callable(F):
-        return F
-    raise FormatError("function must be a StemFunction or a matrix-valued callable")
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked ``np.linalg.solve``; a singular system puts a node on the spectrum."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        raise ContourSpectrumError("singular resolvent at a quadrature node: the spectrum "
+                                   "is too clustered or defective for the contour") from None
 
 
-def _spectrum_contour(
-    F, T: CliffordOperator, contour: Contour | None, radius_fraction: float
-) -> Contour:
-    if contour is not None:
-        return contour
-    if not isinstance(F, StemFunction):
-        raise NoContourError("matrix-valued callables need an explicit contour")
-    points = complex_spectrum(T).eigenvalues
-    return build_contour(points, F.domain, radius_fraction=radius_fraction,
-                         exclude=F.domain.punctures)
+def _operator_contour(T: CliffordOperator, contour: Contour | None, domain: PlanarDomain | None,
+                      stem: StemFunction | None, radius_fraction: float) -> Contour:
+    """``contour``, or circles around the complex spectrum of ``T`` inside
+    ``domain``, checked for admissibility (see ``contour._check_contour``)."""
+    if stem is not None and stem.n != T.n:
+        raise RankMismatchError(f"rank mismatch: function {stem.n}, operator {T.n}")
+    spectrum = complex_spectrum(T).eigenvalues
+    if contour is None:
+        if domain is None:
+            raise NoContourError("need a contour, or a stem function or domain to build one")
+        contour = build_contour(spectrum, domain, radius_fraction=radius_fraction,
+                                exclude=domain.punctures)
+    _check_contour(contour, spectrum, stem)
+    return contour
 
 
-def _check_operator_contour(contour: Contour, points: Sequence[complex]) -> None:
-    for lam in points:
-        if not contour.encloses(lam):
-            raise ContourSpectrumError(f"eigenvalue {lam} is not enclosed by the contour")
-        if contour.margin(lam) <= 1e-9 * (1.0 + abs(lam)):
-            raise ContourSpectrumError(f"contour passes through the eigenvalue {lam}")
+def _real_operator(S: np.ndarray, T: CliffordOperator, what: str, tol: float,
+                   flat_tol: float) -> CliffordOperator:
+    """Project a calculus value back onto blade components; a violation of
+    the real structure beyond ``flat_tol`` (relative) reports a non-stem
+    function."""
+    scale = max(1.0, float(np.linalg.norm(S)))
+    defect = real_subspace_defect(S)
+    if defect > flat_tol * scale:
+        raise StemViolationError(
+            f"{what} value is not fixed by the real structure (defect {defect:.3g}); "
+            "the function is not a stem function",
+            residual=defect,
+        )
+    return operator_from_matrix(S, T.d, T.n, tol=max(flat_tol, 10 * tol))
 
 
 def riesz_dunford_matrix(
@@ -418,20 +414,28 @@ def riesz_dunford_matrix(
 ) -> np.ndarray:
     """Contour functional calculus on the complexified matrix.
 
-    Integrates ``F(z) (z - T)^{-1}`` (one linear solve per node) around the
-    complex spectrum and normalizes by 2 pi i.
+    Integrates ``F(z) (z - T)^{-1}`` around the complex spectrum and
+    normalizes by 2 pi i; the resolvents of a batch of nodes come from one
+    stacked linear solve.  Stem functions (values in the complexified
+    algebra) act as left multiplications, evaluated once per node batch;
+    raw callables must return complexified matrices satisfying
+    F(conj z) = conj F(z) entrywise, and are called point by point.
     """
-    contour = _spectrum_contour(F, T, contour, radius_fraction)
-    _check_operator_contour(contour, complex_spectrum(T).eigenvalues)
-    matrix_fn = _operator_valued(F, T.d, T.n)
+    stem = F if isinstance(F, StemFunction) else None
+    if stem is None and not callable(F):
+        raise FormatError("function must be a StemFunction or a matrix-valued callable")
+    contour = _operator_contour(T, contour, stem and stem.domain, stem, radius_fraction)
     base = T.matrix()
     eye = np.eye(T.size, dtype=np.complex128)
 
-    def node(z: complex, dz: complex) -> np.ndarray:
-        resolvent_mat = np.linalg.solve(z * eye - base, eye)
-        return (matrix_fn(z) @ resolvent_mat) * dz
+    def integrand(zs: np.ndarray, dzs: np.ndarray) -> np.ndarray:
+        shifted = zs[:, None, None] * eye - base
+        resolvents = _solve(shifted, np.broadcast_to(eye, shifted.shape))
+        if stem is None:
+            return (np.array([F(z) for z in zs]) * dzs[:, None, None]) @ resolvents
+        return _apply_left(_left_mult(F.values_at(zs) * dzs[:, None], T.n), resolvents)
 
-    raw = contour_quadrature(node, contour, tol=tol)
+    raw = contour_quadrature(integrand, contour, tol=tol)
     return raw / (2.0j * np.pi)
 
 
@@ -450,15 +454,7 @@ def riesz_dunford_eval(
     beyond ``flat_tol`` (relative) reports the function as non-stem.
     """
     S = riesz_dunford_matrix(F, T, contour, radius_fraction, tol)
-    scale = max(1.0, float(np.linalg.norm(S)))
-    defect = real_subspace_defect(S)
-    if defect > flat_tol * scale:
-        raise StemViolationError(
-            f"contour calculus value is not fixed by the real structure "
-            f"(defect {defect:.3g}); the function is not a stem function",
-            residual=defect,
-        )
-    return operator_from_matrix(S, T.d, T.n, tol=max(flat_tol, 10 * tol))
+    return _real_operator(S, T, "contour calculus", tol, flat_tol)
 
 
 # -- slice calculus -------------------------------------------------------------
@@ -466,22 +462,18 @@ def riesz_dunford_eval(
 def s_resolvent_right(s: Paravector, T: CliffordOperator, tol: float = SINGULARITY_TOL) -> np.ndarray:
     """Right S-resolvent ``-(T - s*) (T^2 - 2 Re(s) T + |s|^2)^{-1}`` on the
     complexified module, with the involution acting by left multiplication."""
-    if s.n != T.n:
-        raise RankMismatchError(f"rank mismatch: operator {T.n}, paravector {s.n}")
-    pencil = _quadratic_pencil(T, s)
-    smallest = float(np.linalg.svd(pencil, compute_uv=False)[-1])
-    if smallest < tol * max(1.0, float(np.max(np.abs(pencil)))):
+    pencil, margin = _pencil_margin(T, s, tol)
+    if margin < 1.0:
         raise SingularInputError(
             f"paravector {s!r} lies in the Clifford spectrum; S-resolvent undefined"
         )
-    eye = np.eye(T.d)
-    star_mult = np.kron(left_mult_matrix(s.star()), eye)
+    star_mult = np.kron(left_mult_matrix(s.star()), np.eye(T.d))
     numerator = T.matrix() - star_mult
     return -numerator @ np.linalg.solve(pencil, np.eye(T.size, dtype=np.complex128))
 
 
 def slice_calculus_eval(
-    phi: Callable[[Paravector], CMultivector],
+    phi: StemFunction | Callable[[Paravector], CMultivector],
     T: CliffordOperator,
     s_unit: Paravector,
     contour: Contour | None = None,
@@ -498,52 +490,57 @@ def slice_calculus_eval(
     slice direction, and the integrand keeps the order value * measure *
     S-resolvent.  The result agrees with the Riesz-Dunford calculus of the
     corresponding stem function.
+
+    ``phi`` is a stem function ``F``, valued ``F(z) i+(s) + F(conj z) i-(s)``
+    at u + v s with the idempotents of s (batched), or a black-box function
+    of a paravector called per node.  ``domain`` defaults to ``F.domain``.
     """
     if s_unit.n != T.n:
         raise RankMismatchError(f"rank mismatch: operator {T.n}, direction {s_unit.n}")
-    spectrum = complex_spectrum(T).eigenvalues
-    if contour is None:
-        if domain is None:
-            raise NoContourError("slice calculus needs a contour or a domain to build one")
-        contour = build_contour(spectrum, domain, radius_fraction=radius_fraction,
-                                exclude=domain.punctures)
-    _check_operator_contour(contour, spectrum)
+    stem = phi if isinstance(phi, StemFunction) else None
+    if domain is None and stem is not None:
+        domain = stem.domain
+    contour = _operator_contour(T, contour, domain, stem, radius_fraction)
 
     n = T.n
-    eye_d = np.eye(T.d)
-    eye = np.eye(T.size, dtype=np.complex128)
-    base = T.matrix()
+    # the pencil and the S-resolvent are real: solve in real arithmetic
+    eye = np.eye(T.size)
+    base = T.matrix().real
     base2 = base @ base
-    s_mv = s_unit.to_multivector()
-    minus_s = -1.0 * s_mv
-    unit_left = np.kron(left_mult_matrix(s_mv), eye_d)
+    s_row = s_unit.to_multivector().coeffs
+    unit_left = np.kron(left_mult_matrix(s_unit), np.eye(T.d))
+    iota_plus, iota_minus = (iota.coeffs for iota in idempotents(s_unit))
 
-    def node(z: complex, dz: complex) -> np.ndarray:
+    def slice_values(zs: np.ndarray) -> np.ndarray:
+        if stem is not None:
+            plus, minus = np.split(stem.values_at(np.concatenate([zs, zs.conj()])), 2)
+            return (_batch_mul_coeffs(plus, np.broadcast_to(iota_plus, plus.shape), n)
+                    + _batch_mul_coeffs(minus, np.broadcast_to(iota_minus, plus.shape), n))
+        out = np.empty((len(zs), 1 << n), dtype=np.complex128)
+        for k, z in enumerate(zs):
+            value = phi(slice_point(n, z.real, z.imag, s_unit))
+            if isinstance(value, (Multivector, Paravector)):
+                value = value.to_cmultivector()
+            elif not isinstance(value, CMultivector):
+                value = CMultivector.from_scalar(n, complex(value))
+            out[k] = value.coeffs
+        return out
+
+    def integrand(zs: np.ndarray, dzs: np.ndarray) -> np.ndarray:
         # s = u + v s_unit; the S-resolvent pencil only sees Re(s) and |s|^2
-        u, v = z.real, z.imag
+        u, v = zs.real[:, None, None], zs.imag[:, None, None]
         pencil = base2 - (2.0 * u) * base + (u * u + v * v) * eye
-        numerator = base - (u * eye - v * unit_left)
-        s_res = -numerator @ np.linalg.solve(pencil, eye)
-        value = phi(slice_point(n, u, v, s_unit))
-        if isinstance(value, (Multivector, Paravector)):
-            value = value.to_cmultivector()
-        elif not isinstance(value, CMultivector):
-            value = CMultivector.from_scalar(n, complex(value))
-        # plane measure: -s (du + s dv) under the embedding u + iv -> u + v s
-        line = dz.real + dz.imag * s_mv
-        weight = value * (minus_s * line)
-        return np.kron(left_mult_matrix(weight), eye_d) @ s_res
+        numerator = base - u * eye + v * unit_left
+        # S_R = -numerator pencil^{-1}, from the transposed systems
+        s_res = -_solve(pencil.swapaxes(1, 2), numerator.swapaxes(1, 2)).swapaxes(1, 2)
+        # plane measure: -s (du + s dv) = dv - du s under u + iv -> u + v s
+        measure = np.outer(dzs.real, -s_row)
+        measure[:, 0] += dzs.imag
+        weights = _batch_mul_coeffs(slice_values(zs), measure, n)
+        return _apply_left(_left_mult(weights, n), s_res)
 
-    raw = contour_quadrature(node, contour, tol=tol)
-    S = raw / (2.0 * np.pi)
-    scale = max(1.0, float(np.linalg.norm(S)))
-    defect = real_subspace_defect(S)
-    if defect > flat_tol * scale:
-        raise StemViolationError(
-            f"slice calculus value is not fixed by the real structure (defect {defect:.3g})",
-            residual=defect,
-        )
-    return operator_from_matrix(S, T.d, T.n, tol=max(flat_tol, 10 * tol))
+    raw = contour_quadrature(integrand, contour, tol=tol)
+    return _real_operator(raw / (2.0 * np.pi), T, "slice calculus", tol, flat_tol)
 
 
 # -- derived checks -------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 from . import dsl, operators as ops, spectral, stem
 from .algebra import CMultivector, Multivector, Paravector, basis_mul, format_multivector
 from .contour import CauchyTransform, build_contour, cauchy_transform, slice_regularity_residual
-from .errors import ToolkitError
+from .errors import InputError
 from .stem import PlanarDomain, StemFunction, evaluate_stem, slice_lift, slice_point
 
 __all__ = [
@@ -561,7 +561,7 @@ def suite_equivalence(seed: int = 0, count: int = 20, tol: float = 1e-6) -> Suit
         F = dsl.stem_function(random_stem_source(rng, n, max_degree=3, entire_prob=0.0), n)
         s_unit = random_unit_imaginary(rng, n)
         via_riesz = ops.riesz_dunford_eval(F, T)
-        via_slice = ops.slice_calculus_eval(F.at, T, s_unit, domain=domain)
+        via_slice = ops.slice_calculus_eval(F, T, s_unit, domain=domain)
         scale = max(1.0, via_riesz.frobenius())
         worst = max(worst, (via_riesz - via_slice).frobenius() / scale)
     result.add("slice calculus equals the contour calculus", worst, tol)
@@ -656,5 +656,5 @@ def run_suite(name: str, seed: int = 0) -> list[SuiteResult]:
     if name == "all":
         return [fn(seed=seed) for fn in SUITES.values()]
     if name not in SUITES:
-        raise ToolkitError(f"unknown suite {name!r}; choose from {', '.join(suite_names())}")
+        raise InputError(f"unknown suite {name!r}; choose from {', '.join(suite_names())}")
     return [SUITES[name](seed=seed)]

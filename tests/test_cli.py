@@ -153,3 +153,31 @@ def test_file_errors_are_error_documents(tmp_path, capsysbinary):
         code, out = run_cli(capsysbinary, argv)
         assert code == 1, argv
         assert json.loads(out)["error"]["type"] in ("InputError", "FormatError"), argv
+
+
+def test_out_write_failure_is_error_document(tmp_path, capsysbinary):
+    target = tmp_path / "missing" / "report.json"
+    code, out = run_cli(capsysbinary, ["mul", "-n", "1", "--a", "e1", "--b", "e1",
+                                       "--out", str(target)])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "InputError"
+    assert not target.exists()
+
+
+def test_unknown_suite_is_error_document(capsysbinary):
+    code, out = run_cli(capsysbinary, ["check", "--suite", "nope"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"]["type"] == "InputError"
+    assert "equivalence" in report["error"]["message"]
+
+
+def test_singular_resolvent_is_numeric_error_document(tmp_path, capsysbinary):
+    # J_3(1) + 0.5 I e1: a defective spectrum puts a quadrature node on an eigenvalue
+    T = CliffordOperator(3, 1, {0: np.eye(3) + np.diag([1.0, 1.0], 1), 1: 0.5 * np.eye(3)})
+    matrix_file = tmp_path / "op.json"
+    matrix_file.write_text(json.dumps(operator_to_json(T)))
+    code, out = run_cli(capsysbinary, ["op-eval", "--matrix", str(matrix_file),
+                                       "--fn", "z^2 + e1*z"])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ContourSpectrumError"

@@ -250,3 +250,32 @@ def test_node_count_must_be_positive():
             CauchyTransform(scalar_fn(1, lambda z: z), spectrum_hint=[0.5], nodes=nodes)
         with pytest.raises(DomainError):
             CauchyTransform(scalar_fn(1, lambda z: z), Contour(circles), nodes=nodes)
+
+
+def test_contour_quadrature_evaluates_each_node_once():
+    from cliffcalc.contour import contour_quadrature
+
+    seen = []
+
+    def integrand(zs, dzs):
+        seen.extend(zs.tolist())
+        return (np.exp(zs) / (zs - 0.1) * dzs)[:, None]
+
+    contour = Contour((Circle(0j, 1.0), Circle(3.0 + 0j, 0.5)), nodes=4)
+    raw = contour_quadrature(integrand, contour)
+    assert abs(raw[0] / (2j * np.pi) - cmath.exp(0.1)) <= 1e-12
+    # every node of the finest level once, none twice: the doublings
+    # evaluated only the new odd nodes (2 pi (2k) / (2N) is 2 pi k / N exactly)
+    per_circle = len(seen) // 2
+    assert per_circle >= 32 and per_circle & (per_circle - 1) == 0
+    assert len(set(seen)) == len(seen)
+    phases = np.exp(1j * (2.0 * np.pi * np.arange(per_circle) / per_circle))
+    assert set(seen) == {c.center + c.radius * p for c in contour.circles for p in phases}
+
+
+def test_non_analytic_stem_function_has_no_cauchy_transform():
+    from cliffcalc.errors import DomainError
+
+    flagged = StemFunction(n=1, fn=lambda z: CMultivector.from_scalar(1, z), domain=BIG)
+    with pytest.raises(DomainError, match="analytic"):
+        cauchy_transform(flagged, Paravector(1, [0.2, 0.5]))

@@ -319,3 +319,34 @@ def test_parse_caps_nesting_depth():
                 " + ".join(["z"] * (MAX_DEPTH + 1))]:
         with pytest.raises(ParseError):
             parse(src, 1)
+
+
+def test_derivative_of_large_clifford_power_stays_shallow():
+    # e1*z + 1 commutes with its derivative e1, so (u^k)' = k e1 u^(k-1)
+    D = stem_function("(e1*z + 1)^1500", 1).differentiated()
+    z = 0.01
+    u = Multivector(1, [1.0, z])
+    expected = Multivector(1, [0.0, 1500.0]) * (u ** 1499)
+    value = D(z)
+    assert np.linalg.norm(value.coeffs - expected.coeffs) <= 1e-12 * expected.norm()
+
+
+@pytest.mark.parametrize("base, exponent", [
+    ("e1*z + 1", 2), ("e1 + e2*z", 3), ("(1+e12)*z - e1", 5), ("e1*z^2 + e2", 7),
+])
+def test_clifford_power_derivative_matches_term_sum(base, exponent):
+    # reference: the sum of u^i u' u^(k-1-i) over i, from values of u and u'
+    n = 2
+    U = stem_function(base, n)
+    dU = U.differentiated()
+    F = stem_function(f"({base})^{exponent}", n)
+    for z in [0.3 + 0.2j, -1.1 + 0.5j, 0.7, 2j]:
+        u, du = U(z), dU(z)
+        powers = [CMultivector.from_scalar(n, 1.0)]
+        for _ in range(exponent - 1):
+            powers.append(powers[-1] * u)
+        reference = CMultivector.zero(n)
+        for i in range(exponent):
+            reference = reference + powers[i] * du * powers[exponent - 1 - i]
+        value = F.differentiated()(z)
+        assert (value - reference).norm() <= 1e-13 * max(1.0, reference.norm()), z

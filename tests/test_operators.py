@@ -279,3 +279,76 @@ def test_membership_routes_agree(rng):
         data = eigenvalues(kappa)
         dist = min(abs(l - s) for l in spectrum.eigenvalues for s in data.points)
         assert direct == (dist < 1e-6 * (1 + max(abs(x) for x in spectrum.eigenvalues)))
+
+
+@pytest.mark.parametrize("d, n", [(3, 1), (3, 2), (8, 3)])
+def test_slice_calculus_stem_path_matches_blackbox(d, n):
+    import cliffcalc.contour as contour_module
+    from cliffcalc.contour import Circle, Contour
+
+    rng = np.random.default_rng(100 + d * n)
+    T = random_operator(rng, d, n, scale=0.3)
+    F = stem_function("(1+0.5e1)*z^2 - e1*z + 0.25", n)
+    v = rng.normal(size=n)
+    s_unit = Paravector(n, np.concatenate([[0], v / np.linalg.norm(v)]))
+    # one circle around the whole spectrum, 128 nodes to start with
+    radius = 1.5 * max(abs(z) for z in complex_spectrum(T).eigenvalues) + 0.1
+    contour = Contour((Circle(0j, radius),), nodes=128)
+    sizes = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        sizes.append(len(a))
+        return solve(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", spy)
+        via_stem = slice_calculus_eval(F, T, s_unit, contour=contour)
+    via_blackbox = slice_calculus_eval(F.at, T, s_unit, contour=contour)
+    assert (via_stem - via_blackbox).frobenius() <= 1e-12 * via_blackbox.frobenius()
+    if T.size == 64:
+        # every level of 128 or more nodes is split into stacks of 64
+        chunk = contour_module._CHUNK_ENTRIES // T.size ** 2
+        assert chunk == 64 and max(sizes) == chunk and sum(sizes) >= 2 * 128
+
+
+def test_riesz_dunford_stem_matches_matrix_callable(rng):
+    from cliffcalc.contour import build_contour
+    from cliffcalc.operators import riesz_dunford_matrix
+
+    for d, n in [(2, 1), (3, 2)]:
+        T = random_operator(rng, d, n)
+        F = stem_function("(1+0.5e1)*z^3 - e1*z + exp(0.3*z)", n)
+        contour = build_contour(complex_spectrum(T).eigenvalues, F.domain)
+
+        def matrix_fn(z):
+            return np.kron(left_mult_matrix(F(z)), np.eye(d))
+
+        via_stem = riesz_dunford_matrix(F, T)
+        via_callable = riesz_dunford_matrix(matrix_fn, T, contour)
+        assert np.linalg.norm(via_stem - via_callable) <= 1e-12 * np.linalg.norm(via_callable)
+
+
+def test_singular_stacked_solve_is_numeric_error():
+    from cliffcalc.errors import NumericError
+
+    # J_3(1) + 0.5 I e1: each eigenvalue 1 +- 0.5i is a triple, split by ~6e-9
+    T = CliffordOperator(3, 1, {0: np.eye(3) + np.diag([1.0, 1.0], 1), 1: 0.5 * np.eye(3)})
+    with pytest.raises(NumericError):
+        riesz_dunford_eval(stem_function("z^2 + e1*z", 1), T)
+
+
+def test_non_analytic_stem_function_is_rejected():
+    from cliffcalc.algebra import CMultivector
+    from cliffcalc.errors import DomainError
+    from cliffcalc.operators import riesz_dunford_matrix
+    from cliffcalc.stem import StemFunction
+
+    flagged = StemFunction(n=1, fn=lambda z: CMultivector.from_scalar(1, z * z), domain=BIG)
+    assert not flagged.is_analytic
+    T = random_operator(np.random.default_rng(3), 2, 1)
+    for call in (lambda: riesz_dunford_matrix(flagged, T),
+                 lambda: riesz_dunford_eval(flagged, T),
+                 lambda: slice_calculus_eval(flagged, T, Paravector(1, [0, 1]))):
+        with pytest.raises(DomainError, match="analytic"):
+            call()
