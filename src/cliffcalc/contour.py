@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import CMultivector, Paravector, _batch_mul_coeffs
+from .algebra import CMultivector, Paravector, _mul_coeffs
 from .errors import (
     ContourSpectrumError,
     ConvergenceError,
@@ -42,6 +42,12 @@ MAX_NODES = 4096
 QUAD_TOL = 1e-12
 RADIUS_FRACTION = 0.5
 FD_STEP = 1e-4
+# A conjugate pair closer than this fraction of its domain clearance gets one
+# real-centered circle.  Two separate circles would be tiny, and on them the
+# resolvent's 1 / ((z - s) (z - conj(s))) grows like 1 / (radius * gap): its
+# roundoff then keeps the node doubling from converging, or a node lands
+# within the spectral-point guard.
+PAIR_MERGE_FRACTION = 1e-3
 # Most entries one integrand call of contour_quadrature may return: about
 # 4 MB, four (256, 256) matrices at the operator size cap.
 _CHUNK_ENTRIES = 1 << 18
@@ -109,8 +115,9 @@ def build_contour(
     cluster and the nearest of: the domain boundary (punctures included),
     an explicitly excluded singularity, or half the gap to another cluster
     (so neighbouring circles stay disjoint).  Clusters with no positive gap
-    are merged first; a merged conjugate pair becomes a single circle
-    centered on the real axis.
+    are merged first, and so is a conjugate pair whose gap is below
+    ``PAIR_MERGE_FRACTION`` of its domain clearance; a merged conjugate pair
+    becomes a single circle centered on the real axis.
     """
     if not 0.0 < radius_fraction < 1.0:
         raise NoContourError(f"radius fraction must be in (0, 1), got {radius_fraction}")
@@ -136,17 +143,22 @@ def build_contour(
             gap = domain.clearance(c) - r
             for q in exclude:
                 gap = min(gap, abs(c - complex(q)) - r)
+            partner = None
             for j, (c2, r2) in enumerate(zip(centers, hull_radii)):
                 if j != i:
-                    gap = min(gap, (abs(c - c2) - r - r2) / 2.0)
+                    pair_gap = (abs(c - c2) - r - r2) / 2.0
+                    if c2 == c.conjugate() and pair_gap < PAIR_MERGE_FRACTION * domain.clearance(c):
+                        pair_gap, partner = 0.0, j
+                    gap = min(gap, pair_gap)
             if gap <= 0.0:
                 others = [j for j in range(len(groups)) if j != i]
                 if not others:
                     raise NoContourError(
                         f"no room for a contour around {c}: available gap {gap:.3g}"
                     )
-                j = min(others, key=lambda j: abs(centers[j] - c))
-                remerge = (i, j)
+                if partner is None:
+                    partner = min(others, key=lambda j: abs(centers[j] - c))
+                remerge = (i, partner)
                 break
             radii.append(r + radius_fraction * gap)
         if remerge is None:
@@ -247,10 +259,10 @@ class CauchyTransform:
     """Cauchy-transform evaluator for a fixed function on a fixed contour.
 
     Function samples at the quadrature nodes depend only on the node count,
-    so they are cached; evaluating at another paravector costs one resolvent
-    per node.  Derivative orders cache their own node samples.  The nodes are
-    nested: doubling their number keeps every old node, so only the new ones
-    are sampled.
+    so they are cached; evaluating at another paravector costs two weighted
+    sums of them and one Clifford product.  Derivative orders cache their own
+    node samples.  The nodes are nested: doubling their number keeps every old
+    node, so only the new ones are sampled.
     """
 
     def __init__(
@@ -278,62 +290,63 @@ class CauchyTransform:
         self.tol = tol
         self.max_nodes = max_nodes
         self.adaptive = adaptive
+        self._centers = np.array([[c.center] for c in contour.circles], dtype=np.complex128)
+        self._radii = np.array([[c.radius] for c in contour.circles])
+        # per node count: the (C, count) nodes on the C circles and their weights
+        self._grids: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # per derivative order: the finest node count sampled so far and
-        # the (count, 2**n) samples on each circle
-        self._samples: dict[int, tuple[int, list[np.ndarray]]] = {}
+        # the (C, count, 2**n) samples on the C circles
+        self._samples: dict[int, tuple[int, np.ndarray]] = {}
 
-    def _sample(self, fn: StemFunction, ks: np.ndarray, num: int) -> list[np.ndarray]:
-        """``fn`` at nodes ``ks`` of ``num`` per circle: one batch per circle."""
-        t = 2.0 * np.pi * ks / num
-        phases = np.exp(1j * t)
-        return [fn.values_at(circle.center + circle.radius * phases)
-                for circle in self.contour.circles]
+    def _grid(self, num: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``num`` nodes of every circle and their weights
+        (1/2 pi i) dz = (r/num) e^{i t}."""
+        if num not in self._grids:
+            phases = np.exp(1j * (2.0 * np.pi * np.arange(num) / num))
+            self._grids[num] = (self._centers + self._radii * phases,
+                                phases * (self._radii / num))
+        return self._grids[num]
 
-    def _values(self, num: int, order: int) -> list[np.ndarray]:
-        """Samples at the ``num`` nodes of every circle.
+    def _values(self, num: int, order: int) -> np.ndarray:
+        """The (C, num, 2**n) samples at the ``num`` nodes of every circle.
 
         Node ``k`` of ``num`` sits at angle ``2 pi k / num``; as ``2 pi (2k) /
         (2 num)`` equals ``2 pi k / num`` exactly in floating point, the nodes
         of ``num`` are every other node of ``2 num``.  So fewer nodes are a
-        stride of cached ones, and doubling samples only the new odd nodes.
+        stride of cached ones, and doubling samples only the new odd nodes,
+        in one batch for all circles.
         """
-        have, cached = self._samples.get(order, (0, []))
+        have, cached = self._samples.get(order, (0, None))
         stride = have // num
         if stride and stride * num == have and stride & (stride - 1) == 0:
-            return [values[::stride] for values in cached]
+            return cached[:, ::stride]
         fn = self.F if order == 0 else self.F.differentiated(order)
+        zs = self._grid(num)[0]
         if num == 2 * have:
-            per_circle = []
-            for old, new in zip(cached, self._sample(fn, np.arange(1, num, 2), num)):
-                merged = np.empty((num, old.shape[1]), dtype=np.complex128)
-                merged[0::2] = old
-                merged[1::2] = new
-                per_circle.append(merged)
+            # interleave: old nodes at even, new ones at odd positions
+            new = fn.values_at(zs[:, 1::2].ravel()).reshape(len(zs), have, -1)
+            samples = np.stack([cached, new], axis=2).reshape(len(zs), num, -1)
         else:
-            per_circle = self._sample(fn, np.arange(num), num)
-        self._samples[order] = (num, per_circle)
-        return per_circle
+            samples = fn.values_at(zs.ravel()).reshape(*zs.shape, -1)
+        self._samples[order] = (num, samples)
+        return samples
 
     def _estimate(self, kappa: Paravector, num: int, order: int) -> np.ndarray:
+        # (z - k)^-1 = ((z - x) + v) / q(z) with q(z) = z^2 - 2 z x + |k|^2, x the
+        # scalar and v the vector part of k.  v is the same at every node, so
+        # the weighted sum of F(z) (z - k)^-1 is B0 + B1 v for the two weighted
+        # sums B of the samples, with weights w (z - x) / q and w / q.
         n = self.F.n
-        total = np.zeros(1 << n, dtype=np.complex128)
-        phases = np.exp(2j * np.pi * np.arange(num) / num)
+        zs, weights = self._grid(num)
         kappa_norm2 = float(np.dot(kappa.components, kappa.components))
-        for f_vals, circle in zip(self._values(num, order), self.contour.circles):
-            zs = circle.center + circle.radius * phases
-            # closed-form resolvent at every node: (z - k*) / (z^2 - 2 z Re(k) + |k|^2)
-            den = zs * zs - 2.0 * kappa.scalar * zs + kappa_norm2
-            if np.min(np.abs(den)) < 1e-14 * (1.0 + kappa_norm2):
-                raise ContourSpectrumError("quadrature node hit a spectral point")
-            res = np.zeros((num, 1 << n), dtype=np.complex128)
-            res[:, 0] = zs - kappa.scalar
-            for j in range(1, n + 1):
-                res[:, 1 << (j - 1)] = kappa.components[j]
-            res /= den[:, None]
-            prod = _batch_mul_coeffs(f_vals, res, n)
-            # weight (1/2 pi i) * dz = (r/N) * e^{i t} per node
-            total = total + (prod * phases[:, None]).sum(axis=0) * (circle.radius / num)
-        return total
+        den = zs * zs - 2.0 * kappa.scalar * zs + kappa_norm2
+        if np.min(np.abs(den)) < 1e-14 * (1.0 + kappa_norm2):
+            raise ContourSpectrumError("quadrature node hit a spectral point")
+        w = (weights / den).ravel()
+        samples = self._values(num, order).reshape(w.size, -1)
+        v = np.zeros(1 << n)
+        v[1 << np.arange(n)] = kappa.vector
+        return (w * (zs.ravel() - kappa.scalar)) @ samples + _mul_coeffs(w @ samples, v, n)
 
     def eval(self, kappa: Paravector, order: int = 0) -> CMultivector:
         data = eigenvalues(kappa)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,14 +42,20 @@ class SpectralData:
 
     ``s_plus`` always carries the nonnegative imaginary part.  For a real
     paravector both eigenvalues coincide and the direction/idempotent fields
-    are ``None``; callers must branch on :attr:`is_real`.
+    are ``None``; callers must branch on :attr:`is_real`.  The idempotents
+    are built when first read.
     """
 
     s_plus: complex
     s_minus: complex
     s_unit: Paravector | None = None
-    iota_plus: CMultivector | None = None
-    iota_minus: CMultivector | None = None
+
+    @cached_property
+    def _idempotents(self) -> tuple[CMultivector | None, CMultivector | None]:
+        return (None, None) if self.s_unit is None else idempotents(self.s_unit)
+
+    iota_plus = property(lambda self: self._idempotents[0])
+    iota_minus = property(lambda self: self._idempotents[1])
 
     @property
     def is_real(self) -> bool:
@@ -79,9 +86,7 @@ def eigenvalues(kappa: Paravector) -> SpectralData:
     y = kappa.vector_norm
     if y == 0.0:
         return SpectralData(complex(x, 0.0), complex(x, 0.0))
-    s_unit = kappa.unit_imaginary()
-    iota_plus, iota_minus = idempotents(s_unit)
-    return SpectralData(complex(x, y), complex(x, -y), s_unit, iota_plus, iota_minus)
+    return SpectralData(complex(x, y), complex(x, -y), kappa.unit_imaginary())
 
 
 def resolvent(lam: complex, kappa: Paravector, tol: float = SPECTRAL_POINT_TOL) -> CMultivector:

@@ -48,6 +48,14 @@ def test_eval_both_methods(capsysbinary):
     assert report["result"]["residual"] <= 1e-8
 
 
+def test_eval_both_methods_at_a_nearly_real_paravector(capsysbinary):
+    code, out = run_cli(capsysbinary, [
+        "eval", "-n", "2", "--fn", "exp(0.5*z)*(1+e1) + z^3", "--at", "0.3+0.000001e1",
+        "--method", "both"])
+    assert code == 0
+    assert json.loads(out)["result"]["residual"] <= 1e-8
+
+
 def test_regularity_command(capsysbinary):
     code, out = run_cli(capsysbinary, [
         "regularity", "-n", "2", "--fn", "z^2 - e1*z", "--at", "0.5+e1"])

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from cliffcalc.algebra import CMultivector, Multivector, Paravector, isclose
+from cliffcalc.algebra import CMultivector, Multivector, Paravector, _batch_mul_coeffs, isclose
 from cliffcalc.contour import (
     CauchyTransform,
     Circle,
     Contour,
+    _doubling,
     build_contour,
     cauchy_derivative,
     cauchy_transform,
@@ -20,8 +21,9 @@ from cliffcalc.errors import (
     DegenerateDirectionError,
     NoContourError,
 )
-from cliffcalc.spectral import eigenvalues
+from cliffcalc.spectral import eigenvalues, resolvent
 from cliffcalc.stem import PlanarDomain, StemFunction, evaluate_stem, slice_point
+from cliffcalc.verify import random_stem_source
 
 from conftest import random_nonreal_pv, random_pv
 
@@ -279,3 +281,51 @@ def test_non_analytic_stem_function_has_no_cauchy_transform():
     flagged = StemFunction(n=1, fn=lambda z: CMultivector.from_scalar(1, z), domain=BIG)
     with pytest.raises(DomainError, match="analytic"):
         cauchy_transform(flagged, Paravector(1, [0.2, 0.5]))
+
+
+def per_node_transform(evaluator, kappa, order):
+    """Reference kernel: the sum over nodes of F(z) (z - k)^-1 w, with one
+    resolvent and one Clifford product per node, doubled like ``eval``."""
+    n = evaluator.F.n
+
+    def estimate(num):
+        total = 0.0
+        phases = np.exp(1j * (2.0 * np.pi * np.arange(num) / num))
+        for f_vals, circle in zip(evaluator._values(num, order), evaluator.contour.circles):
+            zs = circle.center + circle.radius * phases
+            res = np.array([resolvent(z, kappa).coeffs for z in zs])
+            prod = _batch_mul_coeffs(f_vals, res, n)
+            total = total + (prod * phases[:, None]).sum(axis=0) * (circle.radius / num)
+        return total
+
+    return _doubling(estimate, evaluator.contour.nodes, evaluator.tol, evaluator.max_nodes,
+                     True, "reference transform")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_factored_kernel_matches_per_node_products(n):
+    rng = np.random.default_rng(800 + n)
+    for _ in range(2):
+        F = stem_function(random_stem_source(rng, n, max_degree=3), n)
+        for kappa in (random_nonreal_pv(rng, n), Paravector.from_scalar(n, rng.normal())):
+            evaluator = CauchyTransform(F, spectrum_hint=eigenvalues(kappa).points)
+            for order in (0, 1, 2):
+                want = per_node_transform(evaluator, kappa, order)
+                got = evaluator.eval(kappa, order).coeffs
+                assert np.linalg.norm(got - want) <= 1e-13 * max(1.0, np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_nearly_real_pairs_share_one_circle(n):
+    F = stem_function("exp(0.5*z)*(1+e1) + z^3", n)
+    direction = np.ones(n) / math.sqrt(n)
+    for y in [10.0 ** -k for k in range(3, 10)] + [1e-200, 0.0]:
+        kappa = Paravector(n, np.concatenate([[0.3], y * direction]))
+        contour = build_contour(eigenvalues(kappa).points, F.domain, exclude=F.domain.punctures)
+        assert len(contour.circles) == 1 and contour.circles[0].center == 0.3
+        expected = evaluate_stem(F, kappa)
+        value = cauchy_transform(F, kappa)
+        assert (value - expected).norm() <= 1e-8 * max(1.0, expected.norm())
+    # a pair well apart keeps its two circles
+    kappa = Paravector(n, np.concatenate([[0.3], 0.5 * direction]))
+    assert len(build_contour(eigenvalues(kappa).points, F.domain).circles) == 2

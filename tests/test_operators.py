@@ -205,6 +205,23 @@ def test_slice_calculus_matches_riesz(rng):
         assert (via_slice - via_riesz).frobenius() <= 1e-6 * (1 + via_riesz.frobenius())
 
 
+def test_slice_calculus_on_a_nearly_real_pair():
+    from cliffcalc.verify import random_operator as verify_random_operator
+
+    # the first 6 x 6 operator of this stream whose conjugate pair is closer
+    # than 2e-3 (1.35e-3 apart): one real-centered circle encloses the pair
+    rng = np.random.default_rng(0)
+    while True:
+        T = verify_random_operator(rng, 3, 1)
+        gaps = [2 * abs(e.imag) for e in np.linalg.eigvals(T.matrix().real) if e.imag]
+        if gaps and min(gaps) < 2e-3:
+            break
+    F = stem_function("1 + z^2", 1)
+    via_riesz = riesz_dunford_eval(F, T)
+    via_slice = slice_calculus_eval(F.at, T, Paravector(1, [0.0, 1.0]), domain=BIG)
+    assert (via_slice - via_riesz).frobenius() <= 1e-6 * (1 + via_riesz.frobenius())
+
+
 def test_spectral_mapping_examples(rng):
     T = random_operator(rng, 2, 1)
     ident = stem_function("z", 1)

@@ -7,6 +7,7 @@ from cliffcalc.spectral import (
     DegenerateProjectionWarning,
     eigenvalues,
     eigenvector,
+    idempotents,
     resolvent,
     spectral_decomposition_residual,
     spectral_projection,
@@ -20,6 +21,22 @@ def test_eigenvalues_real():
     assert data.s_plus == data.s_minus == 3.0
     assert data.is_real
     assert data.iota_plus is None and data.iota_minus is None
+
+
+def test_idempotents_are_built_on_first_read(rng, monkeypatch):
+    import cliffcalc.spectral as spectral
+
+    built = []
+    monkeypatch.setattr(spectral, "idempotents", lambda s: built.append(s) or idempotents(s))
+    for n in (1, 2, 3, 4):
+        data = eigenvalues(random_nonreal_pv(rng, n))
+        assert not built
+        plus, minus = idempotents(data.s_unit)
+        assert np.array_equal(data.iota_plus.coeffs, plus.coeffs)
+        assert np.array_equal(data.iota_minus.coeffs, minus.coeffs)
+        assert data.iota_plus is data.iota_plus
+        assert len(built) == 1
+        built.clear()
 
 
 def test_eigenvalues_unit_direction():
