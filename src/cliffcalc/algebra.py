@@ -15,6 +15,7 @@ can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 import numbers
 import re
 from functools import lru_cache
@@ -187,7 +188,8 @@ class _Element:
         return type(self)(self.n, coeffs)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        c = self.coeffs  # np.linalg.norm's sums (bit-identical), without its checks
+        return math.sqrt(c.real @ c.real + c.imag @ c.imag)
 
     def star(self):
         """The algebra involution; on the complexification it also conjugates."""
@@ -395,7 +397,7 @@ class Paravector:
     @property
     def vector_norm(self) -> float:
         """Euclidean length of the grade-one part."""
-        return float(np.linalg.norm(self.components[1:]))
+        return math.sqrt(self.components[1:] @ self.components[1:])
 
     @property
     def is_real(self) -> bool:
@@ -411,7 +413,7 @@ class Paravector:
         return Paravector(self.n, components / y)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.components))
+        return math.sqrt(self.components @ self.components)
 
     def star(self) -> "Paravector":
         components = self.components.copy()
@@ -593,6 +595,8 @@ def format_multivector(mv: _Element) -> str:
 
 def parse_multivector(text: str, n: int) -> Multivector:
     """Parse the signed-term text format into a real multivector."""
+    if not 0 <= n <= MAX_FORMAT_RANK:
+        raise FormatError(f"the text format supports ranks 0 to {MAX_FORMAT_RANK}, got {n}")
     coeffs = np.zeros(1 << n)
     pos = 0
     first = True

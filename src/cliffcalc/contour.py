@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import CMultivector, Paravector, _mul_coeffs
+from .algebra import CMultivector, Paravector, _mul_tables
 from .errors import (
     ContourSpectrumError,
     ConvergenceError,
@@ -184,7 +184,6 @@ def contour_quadrature(
     contour: Contour,
     tol: float = QUAD_TOL,
     max_nodes: int = MAX_NODES,
-    adaptive: bool = True,
 ) -> np.ndarray:
     """Integrate ``fn(zs, dz/dt)`` over the contour parameter ``t``.
 
@@ -216,24 +215,31 @@ def contour_quadrature(
     def estimate(num: int) -> np.ndarray:
         ks = np.arange(num) if num == contour.nodes else np.arange(1, num, 2)
         sums[:] = [total + raw_sum(circle, ks, num) for total, circle in zip(sums, contour.circles)]
-        return sum(sums) * (2.0 * np.pi / num)
+        return (sum(sums) * (2.0 * np.pi / num))[None]  # one row: the whole value
 
-    return _doubling(estimate, contour.nodes, tol, max_nodes, adaptive, "contour quadrature")
+    return _doubling(estimate, contour.nodes, tol, max_nodes, "contour quadrature")[0]
 
 
 def _doubling(estimate: Callable[[int], np.ndarray], num: int, tol: float, max_nodes: int,
-             adaptive: bool, what: str) -> np.ndarray:
-    """``estimate(num)``, with the node count doubling (when ``adaptive``) until
-    two successive estimates differ by less than ``tol`` times the result scale."""
+              what: str) -> np.ndarray:
+    """``estimate(num)``, with the node count doubling until two successive estimates differ by
+    less than ``tol`` times the result scale.  The first axis of a 2-D or larger estimate holds
+    independent rows; each row keeps the first estimate at which it converges."""
+    if not 0.0 < tol < math.inf or num >= max_nodes:
+        raise DomainError(f"need a finite tol > 0 and nodes < {max_nodes}: got {tol}, {num}")
     current = estimate(num)
-    if not adaptive:
-        return current
+    result = np.array(current)
+    rows = result.reshape(len(result) if result.ndim > 1 else 1, -1)
+    open_rows = np.ones(len(rows), dtype=bool)
     while num < max_nodes:
         num *= 2
         refined = estimate(num)
-        scale = max(1.0, float(np.linalg.norm(refined)))
-        if float(np.linalg.norm(refined - current)) <= tol * scale:
-            return refined
+        pair = np.array([refined - current, refined]).reshape(2, *rows.shape)
+        gap, size = np.sqrt((pair.real ** 2).sum(axis=2) + (pair.imag ** 2).sum(axis=2))
+        done = open_rows & (gap <= tol * np.maximum(1.0, size))
+        rows[done], open_rows[done] = pair[1][done], False
+        if not open_rows.any():
+            return result
         current = refined
     raise ConvergenceError(f"{what} not converged at {max_nodes} nodes per circle")
 
@@ -271,7 +277,6 @@ class CauchyTransform:
         contour: Contour | None = None,
         tol: float = QUAD_TOL,
         max_nodes: int = MAX_NODES,
-        adaptive: bool = True,
         spectrum_hint: Sequence[complex] | None = None,
         radius_fraction: float = RADIUS_FRACTION,
         nodes: int | None = None,
@@ -289,7 +294,6 @@ class CauchyTransform:
         self.contour = contour
         self.tol = tol
         self.max_nodes = max_nodes
-        self.adaptive = adaptive
         self._centers = np.array([[c.center] for c in contour.circles], dtype=np.complex128)
         self._radii = np.array([[c.radius] for c in contour.circles])
         # per node count: the (C, count) nodes on the C circles and their weights
@@ -331,29 +335,56 @@ class CauchyTransform:
         self._samples[order] = (num, samples)
         return samples
 
-    def _estimate(self, kappa: Paravector, num: int, order: int) -> np.ndarray:
-        # (z - k)^-1 = ((z - x) + v) / q(z) with q(z) = z^2 - 2 z x + |k|^2, x the
-        # scalar and v the vector part of k.  v is the same at every node, so
-        # the weighted sum of F(z) (z - k)^-1 is B0 + B1 v for the two weighted
-        # sums B of the samples, with weights w (z - x) / q and w / q.
-        n = self.F.n
-        zs, weights = self._grid(num)
-        kappa_norm2 = float(np.dot(kappa.components, kappa.components))
-        den = zs * zs - 2.0 * kappa.scalar * zs + kappa_norm2
-        if np.min(np.abs(den)) < 1e-14 * (1.0 + kappa_norm2):
+    def _kernel(self, kappas: Sequence[Paravector], levels: Sequence[int],
+                order: int) -> np.ndarray:
+        # (L, K, 2**n) estimates at node counts ``levels`` (the last the finest)
+        # for K paravectors.  (z - k)^-1 = ((z - x) + v) / q(z), q(z) = z^2 - 2zx +
+        # |k|^2, x the scalar and v the vector part of k: the sum of w F(z) (z - k)^-1
+        # is B0 + B1 v, B the sums of the samples weighted by w (z - x) / q and w / q
+        # (a coarser level's at every stride-th node), in matrix-matrix products:
+        # vector-matrix products of these sizes can go to the BLAS thread pool.
+        n, top, count = self.F.n, levels[-1], len(kappas)
+        zs, weights = (a.ravel() for a in self._grid(top))
+        comps = np.array([kappa.components for kappa in kappas])
+        x, norm2 = comps[:, :1], np.einsum("ij,ij->i", comps, comps)[:, None]
+        den = zs * zs - 2.0 * x * zs + norm2
+        if np.any(np.abs(den).min(axis=1) < 1e-14 * (1.0 + norm2[:, 0])):
             raise ContourSpectrumError("quadrature node hit a spectral point")
-        w = (weights / den).ravel()
-        samples = self._values(num, order).reshape(w.size, -1)
-        v = np.zeros(1 << n)
-        v[1 << np.arange(n)] = kappa.vector
-        return (w * (zs.ravel() - kappa.scalar)) @ samples + _mul_coeffs(w @ samples, v, n)
+        stacked = np.zeros((len(levels), 2, count, zs.size), dtype=np.complex128)
+        np.divide(weights, den, out=stacked[-1, 1])
+        np.multiply(stacked[-1, 1], zs - x, out=stacked[-1, 0])
+        for row, num in zip(stacked, levels[:-1]):
+            row[..., ::top // num] = stacked[-1, ..., ::top // num] * (top // num)
+        samples = self._values(top, order).reshape(zs.size, -1)
+        sums = (samples.T @ stacked.reshape(-1, zs.size).T).T.reshape(len(levels), 2, count, -1)
+        v = np.zeros((count, 1 << n))
+        v[:, 1 << np.arange(n)] = comps[:, 1:]
+        sign, partner = _mul_tables(n)
+        return sums[:, 0] + (sums[:, 1, :, None] @ (sign * v[:, partner]))[..., 0, :]
+
+    def _estimate(self, kappa: Paravector, num: int, order: int) -> np.ndarray:
+        return self._kernel([kappa], [num], order)[0, 0]
+
+    def eval_many(self, kappas: Sequence[Paravector], order: int = 0) -> list[CMultivector]:
+        """The transforms at many paravectors, stacked in every doubling pass."""
+        if any(k.n != self.F.n for k in kappas):
+            raise DomainError(f"rank mismatch: function rank {self.F.n}, paravectors {kappas}")
+        # the spectrum x +/- i |v| of each paravector: the roots of q(z)
+        points = [complex(k.scalar, sign * k.vector_norm) for k in kappas for sign in (1, -1)]
+        _check_contour(self.contour, points, self.F)
+        first, pending = self.contour.nodes, {}
+
+        def estimate(num: int) -> np.ndarray:
+            if num not in pending:
+                levels = [num, 2 * num] if num == first and 2 * num <= self.max_nodes else [num]
+                pending.update(zip(levels, self._kernel(kappas, levels, order)))
+            return pending.pop(num)
+
+        value = _doubling(estimate, first, self.tol, self.max_nodes, "Cauchy transform")
+        return [CMultivector(self.F.n, row) for row in value]
 
     def eval(self, kappa: Paravector, order: int = 0) -> CMultivector:
-        data = eigenvalues(kappa)
-        _check_contour(self.contour, data.points, self.F)
-        value = _doubling(lambda num: self._estimate(kappa, num, order), self.contour.nodes,
-                         self.tol, self.max_nodes, self.adaptive, "Cauchy transform")
-        return CMultivector(self.F.n, value)
+        return self.eval_many([kappa], order)[0]
 
     __call__ = eval
 
@@ -440,7 +471,8 @@ def slice_regularity_residual(
 
     On the slice through ``kappa``, forms (d/dx + (d/dy) s) / 2 applied to
     ``phi`` with the imaginary unit multiplied from the right; slice regular
-    functions give O(h**2), the involution of the variable gives ~1).
+    functions give O(h**2), the involution of the variable gives ~1).  A
+    ``phi`` with an ``eval_many`` method gets the four points in one call.
     """
     data = eigenvalues(kappa)
     if data.is_real:
@@ -450,13 +482,13 @@ def slice_regularity_residual(
     x = kappa.scalar
     y = kappa.vector_norm
 
-    def value(at_x: float, at_y: float) -> CMultivector:
-        out = phi(slice_point(n, at_x, at_y, s_unit))
-        if isinstance(out, CMultivector):
-            return out
-        return out.to_cmultivector()
-
-    ddx = (value(x + h, y) - value(x - h, y)) / (2.0 * h)
-    ddy = (value(x, y + h) - value(x, y - h)) / (2.0 * h)
+    stencil = [slice_point(n, at_x, at_y, s_unit)
+               for at_x, at_y in ((x + h, y), (x - h, y), (x, y + h), (x, y - h))]
+    many = getattr(phi, "eval_many", None)
+    values = many(stencil) if many is not None else [phi(point) for point in stencil]
+    east, west, north, south = (out if isinstance(out, CMultivector) else out.to_cmultivector()
+                                for out in values)
+    ddx = (east - west) / (2.0 * h)
+    ddy = (north - south) / (2.0 * h)
     defect = 0.5 * (ddx + ddy * s_unit.to_cmultivector())
     return defect.norm()

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import (
+    MAX_FORMAT_RANK,
     CMultivector,
     Multivector,
     Paravector,
@@ -604,10 +605,12 @@ def operator_to_json(T: CliffordOperator) -> dict:
 
 def operator_from_json(obj: dict) -> CliffordOperator:
     try:
-        d = int(obj["d"])
-        n = int(obj["n"])
+        d, n = obj["d"], obj["n"]
         raw = obj.get("components", {})
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed operator JSON: {obj!r}") from exc
+    if not (type(d) is int and d >= 1 and type(n) is int and 0 <= n <= MAX_FORMAT_RANK):
+        raise FormatError(f"operator JSON needs integers d >= 1 and 0 <= n <= "
+                          f"{MAX_FORMAT_RANK}, got d = {d!r}, n = {n!r}")
     components = {mask_from_digits(key, n): value for key, value in raw.items()}
     return CliffordOperator(d, n, components)

@@ -373,7 +373,8 @@ def evaluate_stem(F: StemFunction, kappa: Paravector) -> CMultivector:
         raise DomainError(f"spectrum {data.points} not inside the function domain")
     if data.is_real:
         return F(data.s_plus)
-    return F(data.s_plus) * data.iota_plus + F(data.s_minus) * data.iota_minus
+    plus, minus = F.values_at(np.array(data.points))
+    return CMultivector(F.n, plus) * data.iota_plus + CMultivector(F.n, minus) * data.iota_minus
 
 
 def slice_point(n: int, x: float, y: float, s_unit: Paravector) -> Paravector:

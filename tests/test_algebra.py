@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +110,15 @@ def test_norm_matches_paravector_identity(rng):
             1.0, kappa.norm() ** 2
         )
         assert product.nonscalar().norm() <= 1e-12 * max(1.0, kappa.norm() ** 2)
+
+
+def test_norms_are_bit_identical_to_numpy(rng):
+    for n in range(5):
+        for value in (random_mv(rng, n), random_mv(rng, n, complex_=True)):
+            assert value.norm() == float(np.linalg.norm(value.coeffs))
+        kappa = random_pv(rng, n, scale=2.0)
+        assert kappa.norm() == float(np.linalg.norm(kappa.components))
+        assert kappa.vector_norm == float(np.linalg.norm(kappa.components[1:]))
 
 
 def test_paravector_inverse_examples():

@@ -189,3 +189,29 @@ def test_singular_resolvent_is_numeric_error_document(tmp_path, capsysbinary):
                                        "--fn", "z^2 + e1*z"])
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ContourSpectrumError"
+
+
+@pytest.mark.parametrize("option", [["--tol", "0"], ["--tol", "nan"], ["--tol", "-1"],
+                                    ["--nodes", "8192"]])
+def test_eval_rejects_quadrature_parameters_that_cannot_converge(capsysbinary, option):
+    code, out = run_cli(capsysbinary, ["eval", "-n", "2", "--fn", "z^2", "--at", "0.3+0.5e1",
+                                       "--method", "cauchy"] + option)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize("rank", ["60", "12"])
+def test_eval_rejects_ranks_beyond_the_text_format(capsysbinary, rank):
+    code, out = run_cli(capsysbinary, ["eval", "-n", rank, "--fn", "z", "--at", "1"])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "FormatError"
+
+
+@pytest.mark.parametrize("fields", [{"d": -1, "n": 1}, {"d": "a", "n": 1}, {"d": 0, "n": 1},
+                                    {"d": 2.5, "n": 1}, {"d": 2, "n": 10}, {"d": 2, "n": -1}])
+def test_operator_files_need_integer_sizes_in_range(tmp_path, capsysbinary, fields):
+    matrix_file = tmp_path / "op.json"
+    matrix_file.write_text(json.dumps(dict(fields, components={})))
+    code, out = run_cli(capsysbinary, ["op-spectrum", "--matrix", str(matrix_file)])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "FormatError"

@@ -299,7 +299,7 @@ def per_node_transform(evaluator, kappa, order):
         return total
 
     return _doubling(estimate, evaluator.contour.nodes, evaluator.tol, evaluator.max_nodes,
-                     True, "reference transform")
+                     "reference transform")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -329,3 +329,96 @@ def test_nearly_real_pairs_share_one_circle(n):
     # a pair well apart keeps its two circles
     kappa = Paravector(n, np.concatenate([[0.3], 0.5 * direction]))
     assert len(build_contour(eigenvalues(kappa).points, F.domain).circles) == 2
+
+
+
+def test_doubling_rows_keep_their_own_first_converged_level():
+    from cliffcalc.errors import ConvergenceError
+
+    # row 0 moves by 6.4e-13 from 64 to 128 nodes, so it converges there;
+    # row 1 first moves by less than 1e-12 from 2048 to 4096 nodes
+    def rows(num):
+        return np.array([[1e-14 * num], [1.0 + (64.0 / num) ** 8]])
+
+    value = _doubling(rows, 64, 1e-12, 4096, "rows")
+    assert value[0, 0] == 1e-14 * 128 and value[1, 0] == 1.0 + (64.0 / 4096) ** 8
+    # a 1-D estimate is one row: row 0's growth then keeps it from converging
+    with pytest.raises(ConvergenceError):
+        _doubling(lambda num: rows(num)[:, 0], 64, 1e-12, 4096, "one row")
+
+
+def test_eval_many_matches_eval_row_by_row():
+    F = stem_function("exp(0.5*z)*(1+e1) + z^3 - e12*z", 2)
+    contour = Contour((Circle(0.3 + 0.8j, 0.4), Circle(0.3 - 0.8j, 0.4)))
+    easy = [Paravector(2, [0.3, 0.8, 0.0]), Paravector(2, [0.25, 0.6, 0.45])]
+    near = Paravector(2, [0.3, 0.0, 1.18])  # its spectrum is 0.02 inside the circles
+    kappas = [easy[0], near, easy[1]]
+    levels = []
+    for kappa in kappas:
+        alone = CauchyTransform(F, contour)
+        alone.eval(kappa)
+        levels.append(alone._samples[0][0])
+    assert levels[0] == levels[2] == 128 and levels[1] >= 256
+    evaluator = CauchyTransform(F, contour)
+    stacked = evaluator.eval_many(kappas)
+    assert evaluator._samples[0][0] == levels[1]
+    for kappa, got in zip(kappas, stacked):
+        want = CauchyTransform(F, contour).eval(kappa)
+        assert (got - want).norm() <= 1e-14 * max(1.0, want.norm())
+        assert (got - evaluate_stem(F, kappa)).norm() <= 1e-10
+
+
+def test_eval_many_raises_like_eval_for_a_point_outside_the_contour():
+    F = stem_function("z^2", 2)
+    contour = Contour((Circle(0.3 + 0.8j, 0.4), Circle(0.3 - 0.8j, 0.4)))
+    outside = Paravector(2, [0.3, 0.0, 1.5])
+    with pytest.raises(ContourSpectrumError) as alone:
+        CauchyTransform(F, contour).eval(outside)
+    with pytest.raises(ContourSpectrumError) as stacked:
+        CauchyTransform(F, contour).eval_many([Paravector(2, [0.3, 0.8, 0.0]), outside])
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_regularity_stencil_uses_one_stacked_call(rng):
+    F = stem_function("(1+e2)*z^2 - e12*z + exp(0.3*z)", 2)
+    for _ in range(3):
+        kappa = random_nonreal_pv(rng, 2)
+        hint = eigenvalues(kappa).points
+        stacked = slice_regularity_residual(CauchyTransform(F, spectrum_hint=hint), kappa)
+        evaluator = CauchyTransform(F, spectrum_hint=hint)
+        single = slice_regularity_residual(lambda k: evaluator.eval(k), kappa)
+        assert abs(stacked - single) <= 1e-9
+    # on a fresh two-circle transform the four stencil points share every
+    # sample: each of the 2 x 128 nodes is evaluated once
+    calls = []
+    kappa = Paravector(2, [0.5, 1.0, 0.0])
+    evaluator = CauchyTransform(counting_cubic(2, calls), spectrum_hint=eigenvalues(kappa).points)
+    assert len(evaluator.contour.circles) == 2
+    assert slice_regularity_residual(evaluator, kappa) <= 1e-6
+    assert len(calls) == 2 * 128 and len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("tol, nodes", [(0.0, 64), (-1.0, 64), (math.nan, 64), (math.inf, 64),
+                                        (1e-12, 4096), (1e-12, 8192)])
+def test_bad_quadrature_parameters_are_rejected_before_sampling(tol, nodes):
+    from cliffcalc.contour import contour_quadrature
+    from cliffcalc.errors import DomainError
+
+    calls = []
+    kappa = Paravector(2, [0.5, 1.0, 0.0])
+    evaluator = CauchyTransform(counting_cubic(2, calls), spectrum_hint=eigenvalues(kappa).points,
+                                tol=tol, nodes=nodes)
+    with pytest.raises(DomainError):
+        evaluator.eval(kappa)
+    with pytest.raises(DomainError):
+        contour_quadrature(lambda zs, dzs: calls.extend(zs) or dzs[:, None],
+                           Contour((Circle(0j, 1.0),), nodes=nodes), tol=tol)
+    assert calls == []
+
+
+def test_rank_mismatch_is_refused():
+    from cliffcalc.errors import DomainError
+
+    # a rank-1 paravector used to broadcast into the rank-2 kernel silently
+    with pytest.raises(DomainError, match="rank mismatch"):
+        cauchy_transform(stem_function("z^2", 2), Paravector(1, [0.3, 0.8]))
