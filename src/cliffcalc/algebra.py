@@ -112,6 +112,15 @@ def _mul_coeffs(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return (a[:, None] * (sign * b[partner])).sum(axis=0)
 
 
+def _paravector_coeffs(components: np.ndarray, n: int) -> np.ndarray:
+    """The (..., 2**n) blade coefficients of a (..., n + 1) stack of
+    paravector components: component j > 0 sits at mask 1 << (j - 1)."""
+    out = np.zeros(components.shape[:-1] + (1 << n,))
+    out[..., 0] = components[..., 0]
+    out[..., 1 << np.arange(n)] = components[..., 1:]
+    return out
+
+
 def _batch_mul_coeffs(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Row-wise products of two (N, 2**n) coefficient stacks."""
     sign, partner = _mul_tables(n)
@@ -141,12 +150,11 @@ class _Element:
     def __init__(self, n: int, coeffs):
         if n < 0:
             raise MaskRangeError(f"algebra rank must be >= 0, got {n}")
-        arr = np.asarray(coeffs, dtype=self._dtype)
+        arr = np.array(coeffs, dtype=self._dtype)  # a private copy
         if arr.shape != (1 << n,):
             raise MaskRangeError(
                 f"rank {n} needs exactly {1 << n} coefficients, got shape {arr.shape}"
             )
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", arr)
@@ -342,10 +350,9 @@ class Paravector:
     __slots__ = ("n", "components")
 
     def __init__(self, n: int, components):
-        arr = np.asarray(components, dtype=np.float64)
+        arr = np.array(components, dtype=np.float64)  # a private copy
         if arr.shape != (n + 1,):
             raise MaskRangeError(f"rank {n} paravector needs {n + 1} components")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "components", arr)
@@ -427,11 +434,7 @@ class Paravector:
         return Paravector(self.n, self.star().components / nrm2)
 
     def to_multivector(self) -> Multivector:
-        coeffs = np.zeros(1 << self.n)
-        coeffs[0] = self.components[0]
-        for j in range(1, self.n + 1):
-            coeffs[1 << (j - 1)] = self.components[j]
-        return Multivector(self.n, coeffs)
+        return Multivector(self.n, _paravector_coeffs(self.components, self.n))
 
     def to_cmultivector(self) -> CMultivector:
         return self.to_multivector().to_cmultivector()
@@ -480,7 +483,10 @@ class Paravector:
     __hash__ = None
 
     def __str__(self):
-        return format_multivector(self.to_multivector())
+        # format_multivector(self.to_multivector()), without the multivector:
+        # component j > 0 is the coefficient of the blade e_j
+        return _format_terms((str(j) if j else "", c)
+                             for j, c in enumerate(self.components.tolist()) if c != 0)
 
     def __repr__(self):
         return f"Paravector({self.n}, {str(self)!r})"
@@ -561,8 +567,7 @@ def mask_from_digits(digits: str, n: int) -> int:
 
 
 def _format_coeff(value) -> str:
-    if isinstance(value, complex) or np.iscomplexobj(value):
-        value = complex(value)
+    if isinstance(value, complex):
         if value.imag == 0.0:
             value = value.real
         else:
@@ -575,16 +580,20 @@ def _format_coeff(value) -> str:
 
 def format_multivector(mv: _Element) -> str:
     """Render in the signed-term text format (see module notes)."""
+    return _format_terms((digits_from_mask(mask), c)
+                         for mask, c in enumerate(mv.coeffs.tolist()) if c != 0)
+
+
+def _format_terms(terms) -> str:
+    """The signed-term text of nonzero ``(blade digits, coefficient)`` pairs
+    in blade order; empty digits are the scalar blade."""
     parts = []
-    for mask in range(1 << mv.n):
-        c = mv.coeffs[mask].item()
-        if c == 0:
-            continue
+    for digits, c in terms:
         is_neg = isinstance(c, float) and c < 0
         mag = -c if is_neg else c
         body = _format_coeff(mag)
-        if mask:
-            blade = "e" + digits_from_mask(mask)
+        if digits:
+            blade = "e" + digits
             body = blade if body == "1" else f"{body}{blade}"
         if not parts:
             parts.append(f"-{body}" if is_neg else body)

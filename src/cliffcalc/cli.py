@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .algebra import Paravector, multivector_to_json, parse_multivector
+from .algebra import MAX_FORMAT_RANK, Paravector, multivector_to_json, parse_multivector
 from .contour import CauchyTransform, slice_regularity_residual
 from .dsl import DEFAULT_RADIUS, stem_function
 from .errors import DegenerateDirectionError, FormatError, InputError, ToolkitError
@@ -35,6 +35,39 @@ __all__ = ["main", "render_job", "run_job"]
 def _pair(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
+
+
+_KIND_NAMES = {int: "an integer", float: "a number", complex: "a complex number"}
+
+
+def _number(args: dict, key: str, kind: type, default=None):
+    """``args[key]``, or ``default`` when it is absent, as an int, float or
+    complex: from a number of that kind (an int for a float, a float for a
+    complex; never a bool), from its text, or, for a complex, from a
+    ``[re, im]`` pair.  Anything else is a FormatError."""
+    if key not in args and default is None:
+        raise FormatError(f"missing argument {key!r}")
+    value = args.get(key, default)
+    allowed = (int,) if kind is int else (int, float)
+    try:
+        if isinstance(value, str):
+            return kind(value.replace(" ", "") if kind is complex else value)
+        if kind is complex and isinstance(value, list) and len(value) == 2:
+            return complex(*(_number({key: part}, key, float) for part in value))
+        if type(value) in allowed:
+            return kind(value)
+    except (ValueError, OverflowError):
+        pass
+    raise FormatError(f"argument {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _rank(args: dict) -> int:
+    """The algebra rank ``n``, checked against the text format's range before
+    anything is built at that rank."""
+    n = _number(args, "n", int)
+    if not 0 <= n <= MAX_FORMAT_RANK:
+        raise FormatError(f"the text format supports ranks 0 to {MAX_FORMAT_RANK}, got {n}")
+    return n
 
 
 def _paravector(text: str, n: int) -> Paravector:
@@ -84,14 +117,14 @@ def _slice_unit(args: dict, n: int) -> Paravector:
 # -- commands -------------------------------------------------------------------
 
 def cmd_mul(args: dict) -> dict:
-    n = int(args["n"])
+    n = _rank(args)
     a = parse_multivector(args["a"], n)
     b = parse_multivector(args["b"], n)
     return {"product": multivector_to_json(a * b)}
 
 
 def cmd_spectrum(args: dict) -> dict:
-    n = int(args["n"])
+    n = _rank(args)
     data = eigenvalues(_paravector(args["paravector"], n))
     out = {
         "s_plus": _pair(data.s_plus),
@@ -106,17 +139,16 @@ def cmd_spectrum(args: dict) -> dict:
 
 
 def cmd_resolvent(args: dict) -> dict:
-    n = int(args["n"])
+    n = _rank(args)
     kappa = _paravector(args["paravector"], n)
-    lam = complex(args["lambda"].replace(" ", "")) if isinstance(args["lambda"], str) \
-        else complex(args["lambda"][0], args["lambda"][1])
-    tol = float(args.get("tol", 1e-12))
+    lam = _number(args, "lambda", complex)
+    tol = _number(args, "tol", float, 1e-12)
     value = resolvent(lam, kappa, tol=tol)
     return {"value": multivector_to_json(value)}
 
 
 def cmd_eval(args: dict) -> dict:
-    n = int(args["n"])
+    n = _rank(args)
     method = args.get("method", "direct")
     if method not in ("direct", "cauchy", "both"):
         raise InputError(f"unknown method {method!r}")
@@ -130,9 +162,9 @@ def cmd_eval(args: dict) -> dict:
         evaluator = CauchyTransform(
             F,
             spectrum_hint=eigenvalues(kappa).points,
-            radius_fraction=float(args.get("radius_frac", 0.5)),
-            nodes=int(args.get("nodes", 64)),
-            tol=float(args.get("tol", 1e-12)),
+            radius_fraction=_number(args, "radius_frac", float, 0.5),
+            nodes=_number(args, "nodes", int, 64),
+            tol=_number(args, "tol", float, 1e-12),
         )
         via_contour = evaluator.eval(kappa)
         out["cauchy"] = multivector_to_json(via_contour)
@@ -143,10 +175,10 @@ def cmd_eval(args: dict) -> dict:
 
 
 def cmd_regularity(args: dict) -> dict:
-    n = int(args["n"])
+    n = _rank(args)
     F = _stem(args, n)
     kappa = _paravector(args["at"], n)
-    h = float(args.get("fd_step", 1e-4))
+    h = _number(args, "fd_step", float, 1e-4)
     evaluator = CauchyTransform(F, spectrum_hint=eigenvalues(kappa).points)
     residual = slice_regularity_residual(evaluator, kappa, h=h)
     return {"residual": residual, "fd_step": h, "fn": F.label}
@@ -176,8 +208,8 @@ def cmd_op_eval(args: dict) -> dict:
     if method not in ("riesz", "slice", "both"):
         raise InputError(f"unknown method {method!r}")
     F = _stem(args, T.n)
-    radius_frac = float(args.get("radius_frac", 0.5))
-    tol = float(args.get("tol", 1e-12))
+    radius_frac = _number(args, "radius_frac", float, 0.5)
+    tol = _number(args, "tol", float, 1e-12)
     out: dict = {"fn": F.label}
     if method in ("riesz", "both"):
         via_riesz = riesz_dunford_eval(F, T, radius_fraction=radius_frac, tol=tol)
@@ -195,7 +227,7 @@ def cmd_op_eval(args: dict) -> dict:
 def cmd_check(args: dict) -> dict:
     from .verify import run_suite  # only this command needs the suites
 
-    seed = int(args.get("seed", 0))
+    seed = _number(args, "seed", int, 0)
     results = run_suite(args.get("suite", "all"), seed=seed)
     return {
         "seed": seed,

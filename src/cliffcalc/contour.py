@@ -11,11 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import CMultivector, Paravector, _mul_tables
+from .algebra import (
+    CMultivector,
+    Paravector,
+    _Element,
+    _mul_coeffs,
+    _mul_tables,
+    _paravector_coeffs,
+)
 from .errors import (
     ContourSpectrumError,
     ConvergenceError,
@@ -80,11 +88,28 @@ class Contour:
         """Distance from ``z`` to the contour trace (min over circles)."""
         return min(abs(abs(z - c.center) - c.radius) for c in self.circles)
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The circles' centres and radii as two read-only (C,) arrays."""
+        centers = np.array([c.center for c in self.circles], dtype=np.complex128)
+        radii = np.array([c.radius for c in self.circles], dtype=np.float64)
+        centers.setflags(write=False)
+        radii.setflags(write=False)
+        return centers, radii
+
     def to_json(self) -> dict:
         return {
             "circles": [{"c": [c.center.real, c.center.imag], "r": c.radius} for c in self.circles],
             "nodes": self.nodes,
         }
+
+
+@lru_cache(maxsize=None)
+def _phases(num: int) -> np.ndarray:
+    """The ``num`` unit-circle phases e^{2 pi i k / num}, k = 0 .. num - 1."""
+    phases = np.exp(1j * (2.0 * np.pi * np.arange(num) / num))
+    phases.setflags(write=False)
+    return phases
 
 
 def _cluster_geometry(groups: list[list[complex]]) -> tuple[list[complex], list[float]]:
@@ -140,14 +165,15 @@ def build_contour(
         radii = []
         remerge = None
         for i, (c, r) in enumerate(zip(centers, hull_radii)):
-            gap = domain.clearance(c) - r
+            clearance = domain.clearance(c)
+            gap = clearance - r
             for q in exclude:
                 gap = min(gap, abs(c - complex(q)) - r)
             partner = None
             for j, (c2, r2) in enumerate(zip(centers, hull_radii)):
                 if j != i:
                     pair_gap = (abs(c - c2) - r - r2) / 2.0
-                    if c2 == c.conjugate() and pair_gap < PAIR_MERGE_FRACTION * domain.clearance(c):
+                    if c2 == c.conjugate() and pair_gap < PAIR_MERGE_FRACTION * clearance:
                         pair_gap, partner = 0.0, j
                     gap = min(gap, pair_gap)
             if gap <= 0.0:
@@ -200,7 +226,7 @@ def contour_quadrature(
 
     def raw_sum(circle: Circle, ks: np.ndarray, num: int) -> np.ndarray:
         nonlocal per_node
-        phases = np.exp(1j * (2.0 * np.pi * ks / num))
+        phases = _phases(num)[ks]
         zs, dzs = circle.center + circle.radius * phases, 1j * circle.radius * phases
         total, start = 0.0, 0
         while start < len(zs):
@@ -231,13 +257,17 @@ def _doubling(estimate: Callable[[int], np.ndarray], num: int, tol: float, max_n
     result = np.array(current)
     rows = result.reshape(len(result) if result.ndim > 1 else 1, -1)
     open_rows = np.ones(len(rows), dtype=bool)
+
+    def row_norms(a: np.ndarray) -> np.ndarray:
+        a = a.reshape(rows.shape)
+        return np.sqrt((a.real ** 2).sum(axis=1) + (a.imag ** 2).sum(axis=1))
+
     while num < max_nodes:
         num *= 2
         refined = estimate(num)
-        pair = np.array([refined - current, refined]).reshape(2, *rows.shape)
-        gap, size = np.sqrt((pair.real ** 2).sum(axis=2) + (pair.imag ** 2).sum(axis=2))
-        done = open_rows & (gap <= tol * np.maximum(1.0, size))
-        rows[done], open_rows[done] = pair[1][done], False
+        converged = row_norms(refined - current) <= tol * np.maximum(1.0, row_norms(refined))
+        done = open_rows & converged
+        rows[done], open_rows[done] = refined.reshape(rows.shape)[done], False
         if not open_rows.any():
             return result
         current = refined
@@ -250,11 +280,21 @@ def _check_contour(contour: Contour, points: Sequence[complex], F: StemFunction 
     its domain."""
     if F is not None and not F.is_analytic:
         raise DomainError(f"{F.label or 'function'} is not marked analytic: no contour integral")
-    for s in points:
-        if not contour.encloses(s):
+    zs = np.asarray(points, dtype=np.complex128)
+    centers, radii = contour._arrays
+    # per point and circle: distance to the centre minus the radius, negative
+    # exactly when the circle encloses the point (Contour.encloses), and in
+    # modulus the point's distance to that circle's trace (Contour.margin)
+    gaps = np.abs(zs[:, None] - centers) - radii
+    outside = ~np.logical_or.reduce(gaps < 0.0, axis=1)
+    failed = outside | (np.minimum.reduce(np.abs(gaps), axis=1, initial=np.inf)
+                        <= 1e-9 * (1.0 + np.abs(zs)))
+    if failed.any():
+        first = int(failed.argmax())
+        s = complex(zs[first])
+        if outside[first]:
             raise ContourSpectrumError(f"spectral point {s} is not enclosed by the contour")
-        if contour.margin(s) <= 1e-9 * (1.0 + abs(s)):
-            raise ContourSpectrumError(f"contour passes through the spectral point {s}")
+        raise ContourSpectrumError(f"contour passes through the spectral point {s}")
     if F is not None:
         for circle in contour.circles:
             if F.domain.clearance(circle.center) <= circle.radius:
@@ -294,8 +334,7 @@ class CauchyTransform:
         self.contour = contour
         self.tol = tol
         self.max_nodes = max_nodes
-        self._centers = np.array([[c.center] for c in contour.circles], dtype=np.complex128)
-        self._radii = np.array([[c.radius] for c in contour.circles])
+        self._centers, self._radii = (a[:, None] for a in contour._arrays)
         # per node count: the (C, count) nodes on the C circles and their weights
         self._grids: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # per derivative order: the finest node count sampled so far and
@@ -306,7 +345,7 @@ class CauchyTransform:
         """The ``num`` nodes of every circle and their weights
         (1/2 pi i) dz = (r/num) e^{i t}."""
         if num not in self._grids:
-            phases = np.exp(1j * (2.0 * np.pi * np.arange(num) / num))
+            phases = _phases(num)
             self._grids[num] = (self._centers + self._radii * phases,
                                 phases * (self._radii / num))
         return self._grids[num]
@@ -335,20 +374,19 @@ class CauchyTransform:
         self._samples[order] = (num, samples)
         return samples
 
-    def _kernel(self, kappas: Sequence[Paravector], levels: Sequence[int],
-                order: int) -> np.ndarray:
+    def _kernel(self, comps: np.ndarray, levels: Sequence[int], order: int) -> np.ndarray:
         # (L, K, 2**n) estimates at node counts ``levels`` (the last the finest)
-        # for K paravectors.  (z - k)^-1 = ((z - x) + v) / q(z), q(z) = z^2 - 2zx +
-        # |k|^2, x the scalar and v the vector part of k: the sum of w F(z) (z - k)^-1
-        # is B0 + B1 v, B the sums of the samples weighted by w (z - x) / q and w / q
-        # (a coarser level's at every stride-th node), in matrix-matrix products:
+        # for the K paravectors of the (K, n + 1) components ``comps``.
+        # (z - k)^-1 = ((z - x) + v) / q(z), q(z) = z^2 - 2zx + |k|^2, x the scalar
+        # and v the vector part of k: the sum of w F(z) (z - k)^-1 is B0 + B1 v,
+        # B the sums of the samples weighted by w (z - x) / q and w / q (a
+        # coarser level's at every stride-th node), in matrix-matrix products:
         # vector-matrix products of these sizes can go to the BLAS thread pool.
-        n, top, count = self.F.n, levels[-1], len(kappas)
+        n, top, count = self.F.n, levels[-1], len(comps)
         zs, weights = (a.ravel() for a in self._grid(top))
-        comps = np.array([kappa.components for kappa in kappas])
         x, norm2 = comps[:, :1], np.einsum("ij,ij->i", comps, comps)[:, None]
         den = zs * zs - 2.0 * x * zs + norm2
-        if np.any(np.abs(den).min(axis=1) < 1e-14 * (1.0 + norm2[:, 0])):
+        if (np.minimum.reduce(np.abs(den), axis=1) < 1e-14 * (1.0 + norm2[:, 0])).any():
             raise ContourSpectrumError("quadrature node hit a spectral point")
         stacked = np.zeros((len(levels), 2, count, zs.size), dtype=np.complex128)
         np.divide(weights, den, out=stacked[-1, 1])
@@ -363,21 +401,25 @@ class CauchyTransform:
         return sums[:, 0] + (sums[:, 1, :, None] @ (sign * v[:, partner]))[..., 0, :]
 
     def _estimate(self, kappa: Paravector, num: int, order: int) -> np.ndarray:
-        return self._kernel([kappa], [num], order)[0, 0]
+        return self._kernel(kappa.components[None], [num], order)[0, 0]
 
     def eval_many(self, kappas: Sequence[Paravector], order: int = 0) -> list[CMultivector]:
         """The transforms at many paravectors, stacked in every doubling pass."""
         if any(k.n != self.F.n for k in kappas):
             raise DomainError(f"rank mismatch: function rank {self.F.n}, paravectors {kappas}")
+        comps = np.array([k.components for k in kappas]).reshape(len(kappas), self.F.n + 1)
         # the spectrum x +/- i |v| of each paravector: the roots of q(z)
-        points = [complex(k.scalar, sign * k.vector_norm) for k in kappas for sign in (1, -1)]
-        _check_contour(self.contour, points, self.F)
+        spectrum = np.empty((len(comps), 2), dtype=np.complex128)
+        spectrum.real = comps[:, :1]
+        spectrum.imag[:, 0] = np.sqrt(np.einsum("ij,ij->i", comps[:, 1:], comps[:, 1:]))
+        spectrum.imag[:, 1] = -spectrum.imag[:, 0]
+        _check_contour(self.contour, spectrum.ravel(), self.F)
         first, pending = self.contour.nodes, {}
 
         def estimate(num: int) -> np.ndarray:
             if num not in pending:
                 levels = [num, 2 * num] if num == first and 2 * num <= self.max_nodes else [num]
-                pending.update(zip(levels, self._kernel(kappas, levels, order)))
+                pending.update(zip(levels, self._kernel(comps, levels, order)))
             return pending.pop(num)
 
         value = _doubling(estimate, first, self.tol, self.max_nodes, "Cauchy transform")
@@ -479,16 +521,17 @@ def slice_regularity_residual(
         raise DegenerateDirectionError("regularity stencil needs a paravector off the real axis")
     s_unit = data.s_unit
     n = kappa.n
-    x = kappa.scalar
-    y = kappa.vector_norm
+    x, y = data.s_plus.real, data.s_plus.imag
 
     stencil = [slice_point(n, at_x, at_y, s_unit)
                for at_x, at_y in ((x + h, y), (x - h, y), (x, y + h), (x, y - h))]
     many = getattr(phi, "eval_many", None)
     values = many(stencil) if many is not None else [phi(point) for point in stencil]
-    east, west, north, south = (out if isinstance(out, CMultivector) else out.to_cmultivector()
-                                for out in values)
-    ddx = (east - west) / (2.0 * h)
-    ddy = (north - south) / (2.0 * h)
-    defect = 0.5 * (ddx + ddy * s_unit.to_cmultivector())
-    return defect.norm()
+    east, west, north, south = np.array(
+        [out.coeffs if isinstance(out, _Element) else out.to_cmultivector().coeffs
+         for out in values], dtype=np.complex128)
+    # the CMultivector arithmetic (a - b) / (2 h), 0.5 (a + b s) and norm(), on the rows
+    ddx = (east - west) * (1 / (2.0 * h))
+    ddy = (north - south) * (1 / (2.0 * h))
+    defect = 0.5 * (ddx + _mul_coeffs(ddy, _paravector_coeffs(s_unit.components, n), n))
+    return math.sqrt(defect.real @ defect.real + defect.imag @ defect.imag)

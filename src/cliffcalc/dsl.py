@@ -20,6 +20,7 @@ programmatically) but have no surface syntax.
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -684,6 +685,8 @@ def stem_function(
     scan misses goes unpunctured).  The symbolic derivative is attached, so
     derivative-based operations need no extra quadrature.
     """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise DomainError(f"algebra rank must be an integer >= 0, got {n!r}")
     expr = parse(source, n) if isinstance(source, str) else source
     validate(expr)
     batch = _compile_batch(expr, n)

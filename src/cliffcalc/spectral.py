@@ -86,7 +86,9 @@ def eigenvalues(kappa: Paravector) -> SpectralData:
     y = kappa.vector_norm
     if y == 0.0:
         return SpectralData(complex(x, 0.0), complex(x, 0.0))
-    return SpectralData(complex(x, y), complex(x, -y), kappa.unit_imaginary())
+    direction = kappa.components / y  # kappa.unit_imaginary(), without a second norm
+    direction[0] = 0.0
+    return SpectralData(complex(x, y), complex(x, -y), Paravector(kappa.n, direction))
 
 
 def resolvent(lam: complex, kappa: Paravector, tol: float = SPECTRAL_POINT_TOL) -> CMultivector:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .algebra import CMultivector, Multivector, Paravector
+from .algebra import CMultivector, Multivector, Paravector, _mul_coeffs, _paravector_coeffs
 from .errors import DomainError, FormatError, SaturationError
 from .spectral import SpectralData, eigenvalues
 
@@ -374,7 +374,9 @@ def evaluate_stem(F: StemFunction, kappa: Paravector) -> CMultivector:
     if data.is_real:
         return F(data.s_plus)
     plus, minus = F.values_at(np.array(data.points))
-    return CMultivector(F.n, plus) * data.iota_plus + CMultivector(F.n, minus) * data.iota_minus
+    # F+ (1 - i s)/2 + F- (1 + i s)/2, with the idempotents multiplied out
+    s = _paravector_coeffs(data.s_unit.components, F.n)
+    return CMultivector(F.n, 0.5 * (plus + minus) + _mul_coeffs(0.5j * (minus - plus), s, F.n))
 
 
 def slice_point(n: int, x: float, y: float, s_unit: Paravector) -> Paravector:

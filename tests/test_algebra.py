@@ -264,3 +264,23 @@ def test_large_power_is_fast():
     expected = cmath.exp(200000j * cmath.phase(0.6 + 0.8j))
     assert abs(value.coeffs[0] - expected.real) <= 1e-9
     assert abs(value.coeffs[1] - expected.imag) <= 1e-9
+
+
+def test_paravector_text_matches_the_multivector_text():
+    from cliffcalc.algebra import format_multivector
+
+    rng = np.random.default_rng(31)
+    cases = [Paravector(0, [0.0]), Paravector(0, [-0.0]), Paravector(0, [-3.0]),
+             Paravector(2, [-0.0, 0.0, -0.0]), Paravector(3, [1.0, -1.0, 2.0, -7.0]),
+             Paravector(2, [1e16, -1e16, 9.999999999999998e15]),
+             Paravector(3, [1e300, -1e-300, 5e-324, -1.7976931348623157e308])]
+    for _ in range(200):
+        n = int(rng.integers(0, 10))
+        components = rng.normal(size=n + 1) * 10.0 ** rng.integers(-300, 300, size=n + 1)
+        components[rng.random(n + 1) < 0.3] = 0.0
+        whole = rng.random(n + 1) < 0.3
+        components[whole] = rng.integers(-1000, 1000, size=whole.sum())
+        cases.append(Paravector(n, components))
+    for p in cases:
+        assert str(p) == format_multivector(p.to_multivector())
+        assert repr(p) == f"Paravector({p.n}, {format_multivector(p.to_multivector())!r})"

@@ -215,3 +215,44 @@ def test_operator_files_need_integer_sizes_in_range(tmp_path, capsysbinary, fiel
     code, out = run_cli(capsysbinary, ["op-spectrum", "--matrix", str(matrix_file)])
     assert code == 1
     assert json.loads(out)["error"]["type"] == "FormatError"
+
+
+@pytest.mark.parametrize("command, args", [
+    ("eval", {"n": "a"}),
+    ("eval", {"n": True}),
+    ("eval", {"n": 2.0}),
+    ("eval", {}),
+    ("eval", {"n": 2, "method": "cauchy", "tol": [1]}),
+    ("eval", {"n": 2, "method": "cauchy", "nodes": 64.5}),
+    ("eval", {"n": 2, "method": "cauchy", "radius_frac": "x"}),
+    ("regularity", {"n": 2, "fd_step": "x"}),
+    ("resolvent", {"n": 1, "paravector": "e1", "lambda": {"re": 2}}),
+    ("resolvent", {"n": 1, "paravector": "e1", "lambda": [2, 0, 1]}),
+    ("resolvent", {"n": 1, "paravector": "e1", "lambda": "2+"}),
+    ("check", {"suite": "algebra", "seed": "x"}),
+])
+def test_malformed_job_arguments_are_format_errors(tmp_path, capsysbinary, command, args):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"command": command,
+                               "args": dict({"fn": "z^2", "at": "0.3+0.5e1"}, **args)}))
+    code, out = run_cli(capsysbinary, ["--job", str(job)])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "FormatError"
+
+
+def test_job_arguments_take_numbers_text_and_pairs(tmp_path, capsysbinary):
+    values = []
+    for lam in ("2+0.5j", [2, 0.5], ["2", "0.5"]):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"command": "resolvent", "args": {
+            "n": "1", "paravector": "e1", "lambda": lam, "tol": "1e-12"}}))
+        code, out = run_cli(capsysbinary, ["--job", str(job)])
+        assert code == 0
+        values.append(json.loads(out)["result"])
+    assert values[0] == values[1] == values[2]
+
+
+def test_negative_rank_is_refused_before_the_function_is_built(capsysbinary):
+    code, out = run_cli(capsysbinary, ["eval", "-n", "-1", "--fn", "z", "--at", "1"])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "FormatError"

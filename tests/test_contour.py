@@ -422,3 +422,104 @@ def test_rank_mismatch_is_refused():
     # a rank-1 paravector used to broadcast into the rank-2 kernel silently
     with pytest.raises(DomainError, match="rank mismatch"):
         cauchy_transform(stem_function("z^2", 2), Paravector(1, [0.3, 0.8]))
+
+
+def per_point_check(contour, points):
+    """The admissibility rule point by point: the first point that is not
+    enclosed, or that lies within 1e-9 (relative) of the trace, fails."""
+    for s in points:
+        if not contour.encloses(s):
+            raise ContourSpectrumError(f"spectral point {s} is not enclosed by the contour")
+        if contour.margin(s) <= 1e-9 * (1.0 + abs(s)):
+            raise ContourSpectrumError(f"contour passes through the spectral point {s}")
+
+
+def test_vectorised_contour_check_fails_like_the_per_point_rule():
+    from cliffcalc.contour import _check_contour
+
+    contour = Contour((Circle(0.3 + 0.8j, 0.4), Circle(0.3 - 0.8j, 0.4)))
+    inside, outside, on_trace = 0.3 + 0.8j, 2.0 + 0.5j, 0.3 + 1.2j
+    nan = complex(math.nan, 0.0)
+    cases = [[inside, inside.conjugate()], [inside, outside], [inside, on_trace],
+             [outside, on_trace], [on_trace, outside], [on_trace.conjugate(), inside, outside],
+             [inside, nan, outside], [0.7 + 0.8j - 1e-12, 0.3 - 0.4j]]
+    for points in cases:
+        for given in (points, np.array(points)):
+            try:
+                per_point_check(contour, points)
+            except ContourSpectrumError as expected:
+                with pytest.raises(ContourSpectrumError) as got:
+                    _check_contour(contour, given)
+                assert str(got.value) == str(expected)
+            else:
+                _check_contour(contour, given)
+
+
+def object_residual(values, kappa, h):
+    """The stencil of slice_regularity_residual in CMultivector arithmetic, on
+    the values at its four points (east, west, north, south)."""
+    s_unit = eigenvalues(kappa).s_unit
+    east, west, north, south = (out if isinstance(out, CMultivector) else out.to_cmultivector()
+                                for out in values)
+    ddx = (east - west) / (2.0 * h)
+    ddy = (north - south) / (2.0 * h)
+    return (0.5 * (ddx + ddy * s_unit.to_cmultivector())).norm()
+
+
+def stencil(kappa, h):
+    data = eigenvalues(kappa)
+    x, y = kappa.scalar, kappa.vector_norm
+    return [slice_point(kappa.n, at_x, at_y, data.s_unit)
+            for at_x, at_y in ((x + h, y), (x - h, y), (x, y + h), (x, y - h))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_array_residual_matches_the_object_residual(n):
+    rng = np.random.default_rng(700 + n)
+    anti_real = lambda k: k.star().to_multivector()  # noqa: E731 (criterion 06's witness)
+    anti = lambda k: k.star().to_cmultivector()  # noqa: E731
+    for _ in range(3):
+        F = stem_function(random_stem_source(rng, n, max_degree=3), n)
+        kappa = random_nonreal_pv(rng, n)
+        hint = eigenvalues(kappa).points
+        for h in (1e-4, 1e-2):
+            points = stencil(kappa, h)
+            want = object_residual(CauchyTransform(F, spectrum_hint=hint).eval_many(points),
+                                   kappa, h)
+            # the same arithmetic on the same values: equal to the last bit
+            assert slice_regularity_residual(CauchyTransform(F, spectrum_hint=hint), kappa,
+                                             h=h) == want
+            for phi in (anti_real, anti):
+                want = object_residual([phi(p) for p in points], kappa, h)
+                assert want > 0.5 and slice_regularity_residual(phi, kappa, h=h) == want
+
+
+def test_paravector_routes_build_no_intermediate_algebra_objects(monkeypatch):
+    import cliffcalc.algebra as algebra
+    import cliffcalc.contour as contour
+    import cliffcalc.stem as stem
+
+    created, products = [], []
+    init, mul = algebra._Element.__init__, algebra._mul_coeffs
+
+    def counting_init(self, n, coeffs):
+        created.append(type(self))
+        init(self, n, coeffs)
+
+    def counting_mul(a, b, n):
+        products.append(n)
+        return mul(a, b, n)
+
+    monkeypatch.setattr(algebra._Element, "__init__", counting_init)
+    for module in (algebra, contour, stem):
+        monkeypatch.setattr(module, "_mul_coeffs", counting_mul)
+    F = stem_function("(1+e2)*z^2 - e12*z + exp(0.3*z)", 2)
+    kappa = Paravector(2, [0.5, 1.0, 0.4])
+    evaluator = CauchyTransform(F, spectrum_hint=eigenvalues(kappa).points)
+    del created[:], products[:]
+    # the four stencil values eval_many returns; the stencil itself is arrays
+    assert slice_regularity_residual(evaluator, kappa) <= 1e-6
+    assert created == [CMultivector] * 4 and len(products) == 1
+    del created[:], products[:]
+    evaluate_stem(F, kappa)
+    assert created == [CMultivector] and len(products) == 1

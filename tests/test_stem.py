@@ -321,3 +321,40 @@ def test_sampled_injectivity(rng):
             separated = True
             break
     assert separated
+
+
+def idempotent_products(F, kappa):
+    """The direct route as the idempotent products F+ iota+ + F- iota-."""
+    from cliffcalc.spectral import eigenvalues, idempotents
+
+    data = eigenvalues(kappa)
+    plus, minus = F.values_at(np.array(data.points))
+    iota_plus, iota_minus = idempotents(data.s_unit)
+    return CMultivector(F.n, plus) * iota_plus + CMultivector(F.n, minus) * iota_minus
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_expanded_idempotent_formula_matches_idempotent_products(n):
+    from cliffcalc.algebra import Multivector
+    from cliffcalc.dsl import Add, CliffLit, Lit, Mul, Pow, Var
+    from cliffcalc.verify import random_stem_source
+
+    rng = np.random.default_rng(900 + n)
+    functions = [stem_function(random_stem_source(rng, n, max_degree=3), n) for _ in range(4)]
+    # trees with complex literals: not stem functions, so values off the real algebra
+    top = CliffLit(Multivector.basis_blade(n, (1 << n) - 1))
+    functions.append(stem_function(Add(Mul(Lit(0.5 - 2j), Pow(Var(), 2)),
+                                       Mul(top, Mul(Lit(1j), Var()))), n))
+    functions.append(StemFunction(n=n, fn=lambda z: CMultivector.from_scalar(n, 1j * z),
+                                  domain=BIG))
+    for F in functions:
+        for _ in range(10):
+            kappa = random_nonreal_pv(rng, n)
+            want = idempotent_products(F, kappa)
+            assert (evaluate_stem(F, kappa) - want).norm() <= 1e-15 * want.norm()
+
+
+def test_stem_function_rank_must_be_a_nonnegative_integer():
+    for n in (-1, 1.5, True, "2"):
+        with pytest.raises(DomainError, match="rank"):
+            stem_function("z", n)
