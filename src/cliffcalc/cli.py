@@ -15,8 +15,9 @@ import sys
 import numpy as np
 
 from .algebra import MAX_FORMAT_RANK, Paravector, multivector_to_json, parse_multivector
-from .contour import CauchyTransform, slice_regularity_residual
-from .dsl import DEFAULT_RADIUS, stem_function
+from .contour import (DEFAULT_NODES, FD_STEP, QUAD_TOL, RADIUS_FRACTION, CauchyTransform,
+                      slice_regularity_residual)
+from .dsl import stem_function
 from .errors import DegenerateDirectionError, FormatError, InputError, ToolkitError
 from .operators import (
     clifford_spectrum_slice,
@@ -37,37 +38,90 @@ def _pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", complex: "a complex number"}
+# -- arguments --------------------------------------------------------------------
+
+# Each command's arguments, key -> (kind, default): the one description that the
+# subcommand flags, the job check and the values handed to ``cmd_*`` are built
+# from.  A kind is "rank", "int", "float", "complex", "text" or the tuple of a
+# choice's values; the default _REQUIRED marks a required key, and None an
+# optional key with no default.
+_REQUIRED = object()
+_RANK = ("rank", _REQUIRED)
+_TEXT = ("text", _REQUIRED)
+_OPTIONAL = ("text", None)
+_TOL = ("float", QUAD_TOL)
+_RADIUS = ("float", RADIUS_FRACTION)
+
+_ARGS = {
+    "mul": {"n": _RANK, "a": _TEXT, "b": _TEXT},
+    "spectrum": {"n": _RANK, "paravector": _TEXT},
+    "resolvent": {"n": _RANK, "paravector": _TEXT, "lambda": ("complex", _REQUIRED), "tol": _TOL},
+    "eval": {"n": _RANK, "fn": _TEXT, "at": _TEXT,
+             "method": (("direct", "cauchy", "both"), "direct"), "domain": _OPTIONAL,
+             "nodes": ("int", DEFAULT_NODES), "radius_frac": _RADIUS, "tol": _TOL},
+    "regularity": {"n": _RANK, "fn": _TEXT, "at": _TEXT, "domain": _OPTIONAL,
+                   "fd_step": ("float", FD_STEP)},
+    "op-spectrum": {"matrix": _TEXT, "slice_unit": _OPTIONAL},
+    "op-eval": {"matrix": _TEXT, "fn": _TEXT, "method": (("riesz", "slice", "both"), "riesz"),
+                "domain": _OPTIONAL, "slice_unit": _OPTIONAL, "radius_frac": _RADIUS, "tol": _TOL},
+    "check": {"suite": ("text", "all"), "seed": ("int", 0)},
+}
+
+_FLAG_HELP = {"n": "algebra rank", "lambda": 'complex point, e.g. "2+3j"',
+              "domain": "planar-domain JSON file", "suite": "suite name, or all"}
+
+# kind -> (conversion from text, JSON number types it also takes, name)
+_KINDS = {"rank": (int, (int,), "an integer"), "int": (int, (int,), "an integer"),
+          "float": (float, (int, float), "a number"),
+          "complex": (complex, (int, float), "a complex number"), "text": (str, (), "text")}
 
 
-def _number(args: dict, key: str, kind: type, default=None):
-    """``args[key]``, or ``default`` when it is absent, as an int, float or
-    complex: from a number of that kind (an int for a float, a float for a
-    complex; never a bool), from its text, or, for a complex, from a
-    ``[re, im]`` pair.  Anything else is a FormatError."""
-    if key not in args and default is None:
-        raise FormatError(f"missing argument {key!r}")
-    value = args.get(key, default)
-    allowed = (int,) if kind is int else (int, float)
+def _convert(key: str, kind, value):
+    """A job argument as its kind: text as given, a choice from its values, an
+    int, float or complex from a number of that kind (an int for a float, a float
+    for a complex; never a bool), from its text or, for a complex, from a
+    ``[re, im]`` pair, and a rank as an int in the text format's range."""
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        raise FormatError(f"argument {key!r} must be one of {', '.join(kind)}, got {value!r}")
+    if kind == "rank":
+        n = _convert(key, "int", value)
+        if not 0 <= n <= MAX_FORMAT_RANK:
+            raise FormatError(f"the text format supports ranks 0 to {MAX_FORMAT_RANK}, got {n}")
+        return n
+    cast, number_types, name = _KINDS[kind]
     try:
         if isinstance(value, str):
-            return kind(value.replace(" ", "") if kind is complex else value)
-        if kind is complex and isinstance(value, list) and len(value) == 2:
-            return complex(*(_number({key: part}, key, float) for part in value))
-        if type(value) in allowed:
-            return kind(value)
+            return cast(value.replace(" ", "") if cast is complex else value)
+        if cast is complex and isinstance(value, list) and len(value) == 2:
+            return complex(*(_convert(key, "float", part) for part in value))
+        if type(value) in number_types:
+            return cast(value)
     except (ValueError, OverflowError):
         pass
-    raise FormatError(f"argument {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+    raise FormatError(f"argument {key!r} must be {name}, got {value!r}")
 
 
-def _rank(args: dict) -> int:
-    """The algebra rank ``n``, checked against the text format's range before
-    anything is built at that rank."""
-    n = _number(args, "n", int)
-    if not 0 <= n <= MAX_FORMAT_RANK:
-        raise FormatError(f"the text format supports ranks 0 to {MAX_FORMAT_RANK}, got {n}")
-    return n
+def _job_args(command: str, args) -> dict:
+    """A ``command`` job's ``args`` checked against the table and converted, with
+    every absent optional key at its default."""
+    if not isinstance(args, dict):
+        raise FormatError(f"job 'args' must be a JSON object, got {args!r}")
+    table = _ARGS[command]
+    for key in args:
+        if key not in table:
+            raise FormatError(f"unknown argument {key!r} for {command}; "
+                              f"expected one of {', '.join(table)}")
+    values = {}
+    for key, (kind, default) in table.items():
+        if key in args:
+            values[key] = _convert(key, kind, args[key])
+        elif default is _REQUIRED:
+            raise FormatError(f"missing argument {key!r}")
+        else:
+            values[key] = default
+    return values
 
 
 def _paravector(text: str, n: int) -> Paravector:
@@ -90,22 +144,14 @@ def _load_json(path: str, what: str):
         raise FormatError(f"{what} file {path!r} is not valid JSON: {exc}") from None
 
 
-def _domain(args: dict, n: int) -> PlanarDomain:
-    if args.get("domain"):
-        return PlanarDomain.from_json(_load_json(args["domain"], "domain"))
-    return PlanarDomain.disk(0.0, DEFAULT_RADIUS)
-
-
 def _stem(args: dict, n: int) -> "StemFunction":
-    fn_text = args.get("fn")
-    if not fn_text:
-        raise InputError("missing --fn expression")
-    domain = _domain(args, n) if args.get("domain") else None
-    return stem_function(fn_text, n, domain=domain)
+    path = args["domain"]
+    domain = PlanarDomain.from_json(_load_json(path, "domain")) if path else None
+    return stem_function(args["fn"], n, domain=domain)
 
 
 def _slice_unit(args: dict, n: int) -> Paravector:
-    text = args.get("slice_unit") or ("e1" if n >= 1 else None)
+    text = args["slice_unit"] or ("e1" if n >= 1 else None)
     if text is None:
         raise DegenerateDirectionError("rank 0 has no imaginary directions")
     raw = _paravector(text, n)
@@ -115,17 +161,16 @@ def _slice_unit(args: dict, n: int) -> Paravector:
 
 
 # -- commands -------------------------------------------------------------------
+# Each takes the arguments _job_args checked and converted.
 
 def cmd_mul(args: dict) -> dict:
-    n = _rank(args)
-    a = parse_multivector(args["a"], n)
-    b = parse_multivector(args["b"], n)
+    a = parse_multivector(args["a"], args["n"])
+    b = parse_multivector(args["b"], args["n"])
     return {"product": multivector_to_json(a * b)}
 
 
 def cmd_spectrum(args: dict) -> dict:
-    n = _rank(args)
-    data = eigenvalues(_paravector(args["paravector"], n))
+    data = eigenvalues(_paravector(args["paravector"], args["n"]))
     out = {
         "s_plus": _pair(data.s_plus),
         "s_minus": _pair(data.s_minus),
@@ -139,19 +184,13 @@ def cmd_spectrum(args: dict) -> dict:
 
 
 def cmd_resolvent(args: dict) -> dict:
-    n = _rank(args)
-    kappa = _paravector(args["paravector"], n)
-    lam = _number(args, "lambda", complex)
-    tol = _number(args, "tol", float, 1e-12)
-    value = resolvent(lam, kappa, tol=tol)
+    kappa = _paravector(args["paravector"], args["n"])
+    value = resolvent(args["lambda"], kappa, tol=args["tol"])
     return {"value": multivector_to_json(value)}
 
 
 def cmd_eval(args: dict) -> dict:
-    n = _rank(args)
-    method = args.get("method", "direct")
-    if method not in ("direct", "cauchy", "both"):
-        raise InputError(f"unknown method {method!r}")
+    n, method = args["n"], args["method"]
     F = _stem(args, n)
     kappa = _paravector(args["at"], n)
     out: dict = {"fn": F.label}
@@ -162,9 +201,9 @@ def cmd_eval(args: dict) -> dict:
         evaluator = CauchyTransform(
             F,
             spectrum_hint=eigenvalues(kappa).points,
-            radius_fraction=_number(args, "radius_frac", float, 0.5),
-            nodes=_number(args, "nodes", int, 64),
-            tol=_number(args, "tol", float, 1e-12),
+            radius_fraction=args["radius_frac"],
+            nodes=args["nodes"],
+            tol=args["tol"],
         )
         via_contour = evaluator.eval(kappa)
         out["cauchy"] = multivector_to_json(via_contour)
@@ -175,10 +214,9 @@ def cmd_eval(args: dict) -> dict:
 
 
 def cmd_regularity(args: dict) -> dict:
-    n = _rank(args)
-    F = _stem(args, n)
-    kappa = _paravector(args["at"], n)
-    h = _number(args, "fd_step", float, 1e-4)
+    F = _stem(args, args["n"])
+    kappa = _paravector(args["at"], args["n"])
+    h = args["fd_step"]
     evaluator = CauchyTransform(F, spectrum_hint=eigenvalues(kappa).points)
     residual = slice_regularity_residual(evaluator, kappa, h=h)
     return {"residual": residual, "fd_step": h, "fn": F.label}
@@ -204,12 +242,8 @@ def cmd_op_spectrum(args: dict) -> dict:
 
 def cmd_op_eval(args: dict) -> dict:
     T = operator_from_json(_load_json(args["matrix"], "matrix"))
-    method = args.get("method", "riesz")
-    if method not in ("riesz", "slice", "both"):
-        raise InputError(f"unknown method {method!r}")
+    method, radius_frac, tol = args["method"], args["radius_frac"], args["tol"]
     F = _stem(args, T.n)
-    radius_frac = _number(args, "radius_frac", float, 0.5)
-    tol = _number(args, "tol", float, 1e-12)
     out: dict = {"fn": F.label}
     if method in ("riesz", "both"):
         via_riesz = riesz_dunford_eval(F, T, radius_fraction=radius_frac, tol=tol)
@@ -227,33 +261,33 @@ def cmd_op_eval(args: dict) -> dict:
 def cmd_check(args: dict) -> dict:
     from .verify import run_suite  # only this command needs the suites
 
-    seed = _number(args, "seed", int, 0)
-    results = run_suite(args.get("suite", "all"), seed=seed)
+    results = run_suite(args["suite"], seed=args["seed"])
     return {
-        "seed": seed,
+        "seed": args["seed"],
         "passed": all(r.passed for r in results),
         "suites": [r.to_json() for r in results],
     }
 
 
+# command -> (function, one-line help)
 _COMMANDS = {
-    "mul": cmd_mul,
-    "spectrum": cmd_spectrum,
-    "resolvent": cmd_resolvent,
-    "eval": cmd_eval,
-    "regularity": cmd_regularity,
-    "op-spectrum": cmd_op_spectrum,
-    "op-eval": cmd_op_eval,
-    "check": cmd_check,
+    "mul": (cmd_mul, "multiply two multivectors"),
+    "spectrum": (cmd_spectrum, "spectral data of a paravector"),
+    "resolvent": (cmd_resolvent, "resolvent of a paravector at a complex point"),
+    "eval": (cmd_eval, "evaluate a stem function at a paravector"),
+    "regularity": (cmd_regularity, "slice-regularity residual of a contour transform"),
+    "op-spectrum": (cmd_op_spectrum, "complex spectrum of an operator JSON file"),
+    "op-eval": (cmd_op_eval, "functional calculus of an operator"),
+    "check": (cmd_check, "run a named verification suite"),
 }
 
 
 def run_job(job: dict) -> dict:
     command = job.get("command")
-    if command not in _COMMANDS:
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise InputError(f"unknown command {command!r}")
-    args = dict(job.get("args", {}))
-    result = _COMMANDS[command](args)
+    args = job.get("args", {})
+    result = _COMMANDS[command][0](_job_args(command, args))
     return {"command": command, "inputs": args, "result": result}
 
 
@@ -277,86 +311,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--job", help="run a JSON job file instead of a subcommand")
     parser.add_argument("--out", help="write the JSON report to a file instead of stdout")
     sub = parser.add_subparsers(dest="command")
-
-    def common(p, needs_n=True):
-        if needs_n:
-            p.add_argument("-n", type=int, required=True, help="algebra rank")
-        p.add_argument("--out", help="write the JSON report to a file")
-
-    p = sub.add_parser("mul", help="multiply two multivectors")
-    common(p)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-
-    p = sub.add_parser("spectrum", help="spectral data of a paravector")
-    common(p)
-    p.add_argument("--paravector", required=True)
-
-    p = sub.add_parser("resolvent", help="resolvent of a paravector at a complex point")
-    common(p)
-    p.add_argument("--paravector", required=True)
-    p.add_argument("--lambda", dest="lam", required=True, help='complex point, e.g. "2+3j"')
-    p.add_argument("--tol", type=float, default=1e-12)
-
-    p = sub.add_parser("eval", help="evaluate a stem function at a paravector")
-    common(p)
-    p.add_argument("--fn", required=True)
-    p.add_argument("--at", required=True)
-    p.add_argument("--method", default="direct", choices=["direct", "cauchy", "both"])
-    p.add_argument("--domain", help="planar-domain JSON file")
-    p.add_argument("--nodes", type=int, default=64)
-    p.add_argument("--radius-frac", type=float, default=0.5, dest="radius_frac")
-    p.add_argument("--tol", type=float, default=1e-12)
-
-    p = sub.add_parser("regularity", help="slice-regularity residual of a contour transform")
-    common(p)
-    p.add_argument("--fn", required=True)
-    p.add_argument("--at", required=True)
-    p.add_argument("--domain")
-    p.add_argument("--fd-step", type=float, default=1e-4, dest="fd_step")
-
-    p = sub.add_parser("op-spectrum", help="complex spectrum of an operator JSON file")
-    common(p, needs_n=False)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--slice-unit", dest="slice_unit")
-
-    p = sub.add_parser("op-eval", help="functional calculus of an operator")
-    common(p, needs_n=False)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--fn", required=True)
-    p.add_argument("--method", default="riesz", choices=["riesz", "slice", "both"])
-    p.add_argument("--domain")
-    p.add_argument("--slice-unit", dest="slice_unit")
-    p.add_argument("--radius-frac", type=float, default=0.5, dest="radius_frac")
-    p.add_argument("--tol", type=float, default=1e-12)
-
-    p = sub.add_parser("check", help="run a named verification suite")
-    common(p, needs_n=False)
-    p.add_argument("--suite", default="all", help="suite name, or all")
-    p.add_argument("--seed", type=int, default=0)
-
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--out", help="write the JSON report to a file")
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text, parents=[shared])
+        for key, (kind, default) in _ARGS[command].items():
+            p.add_argument(
+                "-n" if kind == "rank" else "--" + key.replace("_", "-"),
+                type=_KINDS[kind][0] if kind in ("rank", "int", "float") else None,
+                choices=kind if isinstance(kind, tuple) else None,
+                required=default is _REQUIRED,
+                default=None if default is _REQUIRED else default,
+                help=_FLAG_HELP.get(key),
+            )
     return parser
-
-
-_ARG_KEYS = {
-    "mul": ["n", "a", "b"],
-    "spectrum": ["n", "paravector"],
-    "resolvent": ["n", "paravector", "lam", "tol"],
-    "eval": ["n", "fn", "at", "method", "domain", "nodes", "radius_frac", "tol"],
-    "regularity": ["n", "fn", "at", "domain", "fd_step"],
-    "op-spectrum": ["matrix", "slice_unit"],
-    "op-eval": ["matrix", "fn", "method", "domain", "slice_unit", "radius_frac", "tol"],
-    "check": ["suite", "seed"],
-}
-
-
-def _namespace_to_job(namespace: argparse.Namespace) -> dict:
-    args = {}
-    for key in _ARG_KEYS[namespace.command]:
-        value = getattr(namespace, key, None)
-        if value is not None:
-            args["lambda" if key == "lam" else key] = value
-    return {"command": namespace.command, "args": args}
 
 
 def main(argv=None) -> int:
@@ -365,20 +333,22 @@ def main(argv=None) -> int:
     if not namespace.job and not namespace.command:
         parser.print_help()
         return 1
-    code = 0
+    out, code = namespace.out, 0
     try:
         if namespace.job:
             job = _load_json(namespace.job, "job")
             if not isinstance(job, dict):
                 raise FormatError(f"job file {namespace.job!r} must hold a JSON object")
-            if not namespace.out and job.get("out"):
-                namespace.out = job["out"]
+            if not isinstance(job.get("out", ""), str):
+                raise FormatError(f"job key 'out' must be text, got {job['out']!r}")
+            out = out or job.get("out")
         else:
-            job = _namespace_to_job(namespace)
+            given = vars(namespace)
+            job = {"command": namespace.command, "args": {
+                key: given[key] for key in _ARGS[namespace.command] if given[key] is not None}}
         payload = render_job(job)
     except ToolkitError as exc:
         payload, code = _error_document(exc), getattr(exc, "exit_code", 2)
-    out = getattr(namespace, "out", None)
     if out:
         try:
             with open(out, "wb") as handle:

@@ -612,5 +612,16 @@ def operator_from_json(obj: dict) -> CliffordOperator:
     if not (type(d) is int and d >= 1 and type(n) is int and 0 <= n <= MAX_FORMAT_RANK):
         raise FormatError(f"operator JSON needs integers d >= 1 and 0 <= n <= "
                           f"{MAX_FORMAT_RANK}, got d = {d!r}, n = {n!r}")
-    components = {mask_from_digits(key, n): value for key, value in raw.items()}
+    if not isinstance(raw, dict):
+        raise FormatError(f"operator JSON components must be an object, got {raw!r}")
+    components = {}
+    for key, value in raw.items():
+        try:
+            mask, matrix = mask_from_digits(key, n), np.asarray(value, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            matrix = None
+        if matrix is None or not np.all(np.isfinite(matrix)):
+            raise FormatError(f"operator component {key!r} needs generator digits and finite "
+                              f"entries, got {value!r}")
+        components[mask] = matrix
     return CliffordOperator(d, n, components)

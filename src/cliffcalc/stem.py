@@ -198,6 +198,8 @@ class PlanarDomain:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PlanarDomain":
+        if not isinstance(obj, dict):
+            raise FormatError(f"domain JSON must be an object, got {obj!r}")
         try:
             pieces: list[Disk | Rect] = [
                 Disk(complex(d["c"][0], d["c"][1]), float(d["r"]))
@@ -208,7 +210,7 @@ class PlanarDomain:
                 for r in obj.get("rects", [])
             ]
             punctures = [complex(p[0], p[1]) for p in obj.get("punctures", [])]
-        except (KeyError, IndexError, TypeError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed domain JSON: {obj!r}") from exc
         return cls(pieces, punctures)
 

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cliffcalc.cli import main, render_job
+from cliffcalc.cli import _ARGS, main, render_job
 from cliffcalc.operators import CliffordOperator, operator_to_json
 
 
@@ -256,3 +259,166 @@ def test_negative_rank_is_refused_before_the_function_is_built(capsysbinary):
     code, out = run_cli(capsysbinary, ["eval", "-n", "-1", "--fn", "z", "--at", "1"])
     assert code == 1
     assert json.loads(out)["error"]["type"] == "FormatError"
+
+
+# -- the argument table ------------------------------------------------------------
+
+# One report per command, recorded before the argument table replaced the per-command
+# argument handling; parsing arguments differently must not change a report.
+GOLDEN = Path(__file__).parent / "golden"
+ONE_BY_ONE = CliffordOperator(1, 1, {0: [[0.0]], 1: [[1.0]]})
+
+
+@pytest.fixture
+def job_dir(tmp_path, monkeypatch):
+    """A working directory holding ``op.json`` (a 1 x 1 operator, n = 1) and
+    ``domain.json`` (a disk of radius 5), so reports echo stable relative paths."""
+    (tmp_path / "op.json").write_text(json.dumps(operator_to_json(ONE_BY_ONE)))
+    (tmp_path / "domain.json").write_text(json.dumps({"disks": [{"c": [0, 0], "r": 5}]}))
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def run_job_file(capsysbinary, directory, job):
+    path = directory / "job.json"
+    path.write_text(json.dumps(job))
+    return run_cli(capsysbinary, ["--job", str(path)])
+
+
+@pytest.mark.parametrize("command, args", [
+    ("mul", {"n": 2, "a": "1+e1", "b": "1+e2"}),
+    ("spectrum", {"n": 2, "paravector": "1+2e1+2e2"}),
+    ("resolvent", {"n": 1, "paravector": "e1", "lambda": "2"}),
+    ("eval", {"n": 2, "fn": "z^2", "at": "e1+e2", "method": "direct"}),
+    ("regularity", {"n": 1, "fn": "z^2", "at": "0.5+e1"}),
+    ("op-spectrum", {"matrix": "op.json"}),
+    ("op-eval", {"matrix": "op.json", "fn": "z^2"}),
+    ("check", {"suite": "projections"}),
+])
+def test_reports_match_recorded_bytes(job_dir, command, args):
+    assert render_job({"command": command, "args": args}) == \
+        (GOLDEN / f"{command}.json").read_bytes()
+
+
+@pytest.mark.parametrize("command, args", [
+    ("mul", {"n": 2, "a": "1+e1", "b": "1+e2"}),
+    ("spectrum", {"n": 2, "paravector": "1+2e1+2e2"}),
+    ("resolvent", {"n": 1, "paravector": "e1", "lambda": "2+1j", "tol": 1e-9}),
+    ("eval", {"n": 2, "fn": "z^2", "at": "0.3+0.5e1", "method": "both", "domain": "domain.json",
+              "nodes": 32, "radius_frac": 0.4, "tol": 1e-10}),
+    ("regularity", {"n": 1, "fn": "z^3", "at": "0.5+e1", "domain": "domain.json",
+                    "fd_step": 1e-3}),
+    ("op-spectrum", {"matrix": "op.json", "slice_unit": "e1"}),
+    ("op-eval", {"matrix": "op.json", "fn": "z^2", "method": "both", "domain": "domain.json",
+                 "slice_unit": "e1", "radius_frac": 0.4, "tol": 1e-10}),
+    ("check", {"suite": "projections", "seed": 3}),
+])
+def test_flags_and_job_files_give_the_same_bytes(job_dir, capsysbinary, command, args):
+    argv = [command]
+    for key, value in args.items():
+        argv += ["-n" if key == "n" else "--" + key.replace("_", "-"), str(value)]
+    code_flags, out_flags = run_cli(capsysbinary, argv)
+    code_job, out_job = run_job_file(capsysbinary, job_dir, {"command": command, "args": args})
+    assert code_flags == code_job == 0
+    assert out_flags == out_job
+
+
+@pytest.mark.parametrize("job, named", [
+    ({"command": "mul", "args": 5}, "'args'"),
+    ({"command": ["mul"]}, "['mul']"),
+    ({"command": "mul", "args": {"n": 1}}, "'a'"),
+    ({"command": "eval", "args": {"n": 1, "fn": "z", "at": 5}}, "'at'"),
+    ({"command": "eval", "args": {"n": 1, "fn": "z", "at": "1", "method": "Both"}}, "'method'"),
+    ({"command": "eval", "args": {"n": 2, "fn": "z^2", "at": "0.3+0.5e1", "method": "cauchy",
+                                  "nodez": 8000}}, "'nodez'"),
+    ({"command": "regularity", "args": {"n": 2, "fn": "z^2", "at": "0.5+e1", "tol": 1e-9}},
+     "'tol'"),
+    ({"command": "op-spectrum", "args": {"matrix": 0}}, "'matrix'"),
+    ({"command": "eval", "args": {"n": 1, "fn": "z", "at": "1", "domain": 1}}, "'domain'"),
+    ({"command": "check", "args": {"suite": ["projections"]}}, "'suite'"),
+    ({"command": "mul", "args": {"n": 1, "a": "e1", "b": "e1"}, "out": True}, "'out'"),
+    ({"command": "mul", "args": {"n": 1, "a": "e1", "b": "e1"}, "out": 2}, "'out'"),
+])
+def test_malformed_jobs_are_refused_naming_the_key(job_dir, capsysbinary, job, named):
+    code, out = run_job_file(capsysbinary, job_dir, job)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] in ("FormatError", "InputError")
+    assert named in error["message"]
+
+
+@pytest.mark.parametrize("domain, named", [
+    ({"disks": [{"c": [0, 0], "r": "x"}]}, "'r'"),
+    ([1, 2], "[1, 2]"),
+])
+def test_malformed_domain_files_are_format_errors(job_dir, capsysbinary, domain, named):
+    (job_dir / "bad.json").write_text(json.dumps(domain))
+    code, out = run_cli(capsysbinary, ["eval", "-n", "1", "--fn", "z", "--at", "1",
+                                       "--domain", "bad.json"])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "FormatError"
+    assert named in error["message"]
+
+
+@pytest.mark.parametrize("components, named", [
+    (5, "components"),
+    ({"": [["a"]]}, "''"),
+    ({"": [[float("nan")]]}, "''"),
+    ({"1": [[float("inf")]]}, "'1'"),
+    ({"x": [[1.0]]}, "'x'"),
+    ({"": [[1.0, 2.0], [3.0]]}, "''"),
+])
+def test_malformed_operator_components_are_format_errors(job_dir, capsysbinary, components,
+                                                         named):
+    (job_dir / "bad.json").write_text(json.dumps({"d": 1, "n": 1, "components": components}))
+    code, out = run_cli(capsysbinary, ["op-spectrum", "--matrix", "bad.json"])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "FormatError"
+    assert named in error["message"]
+
+
+# Valid values per key, small enough to run fast; ``suite`` is pinned to
+# projections because a missing suite means all of them.
+_FUZZ_VALID = {
+    "n": [1, 2, 3, 0], "a": ["1", "e1", "1-e1"], "b": ["e1", "2-e1"],
+    "paravector": ["0.3+0.5e1", "1"], "at": ["0.3+0.5e1", "1"],
+    "fn": ["z", "z^2"], "lambda": ["2", "2+1j", [2, 0.5]], "tol": [1e-12, 1e-9],
+    "nodes": [16, 64], "radius_frac": [0.5, 0.3], "fd_step": [1e-4, 1e-3],
+    "domain": ["domain.json"], "matrix": ["op.json"], "slice_unit": ["e1"],
+    "seed": [0, 1],
+}
+_FUZZ_JUNK = [True, None, [1, 2, 3], {"x": 1}, float("nan"), 10 ** 40, "junk"]
+_MISSING = object()
+
+
+@st.composite
+def job_documents(draw):
+    command = draw(st.sampled_from(sorted(_ARGS)))
+    table = _ARGS[command]
+    broken = draw(st.just(set()) | st.sets(st.sampled_from(sorted(table)), max_size=2))
+    args = {}
+    for key, (kind, _) in table.items():
+        if key == "suite":
+            args[key] = "projections"
+            continue
+        valid = list(kind) if isinstance(kind, tuple) else _FUZZ_VALID[key]
+        value = draw(st.sampled_from(_FUZZ_JUNK + [_MISSING]) if key in broken
+                     else st.sampled_from(valid))
+        if value is not _MISSING:
+            args[key] = value
+    extra = draw(st.sampled_from([None, None, None, "nodez", "fn"]))
+    if extra and extra not in table:
+        args[extra] = 1
+    return {"command": command, "args": args}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(job=job_documents())
+def test_job_documents_end_in_a_report_or_an_error_document(job_dir, capsysbinary, job):
+    code, out = run_job_file(capsysbinary, job_dir, job)
+    document = json.loads(out)
+    assert (code, sorted(document)) in [(0, ["command", "inputs", "result"]),
+                                        (1, ["error"]), (2, ["error"])], job
