@@ -106,10 +106,27 @@ def _star_signs(n: int) -> np.ndarray:
 
 
 def _mul_coeffs(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    # (a b)[l] = sum_j sign[j, l] a[j] b[j^l]; the gather keeps summation
-    # order fixed, so products are bit-for-bit reproducible.
+    # (a b)[l] = sum_j sign[j, l] a[j] b[j^l] over the last axis, so (..., 2**n)
+    # stacks of rows multiply row by row (and broadcast); the gather keeps
+    # summation order fixed, so products are bit-for-bit reproducible.
     sign, partner = _mul_tables(n)
-    return (a[:, None] * (sign * b[partner])).sum(axis=0)
+    return (a[..., :, None] * (sign * b[..., partner])).sum(axis=-2)
+
+
+def _value_coeffs(value, n: int) -> np.ndarray:
+    """The (2**n,) complex coefficient row of a function value: a
+    ``CMultivector``, ``Multivector`` or ``Paravector`` of rank ``n``, or a
+    number (a scalar)."""
+    if isinstance(value, numbers.Number):
+        value = CMultivector.from_scalar(n, complex(value))
+    elif isinstance(value, Paravector):
+        value = value.to_multivector()
+    elif not isinstance(value, _Element):
+        raise FormatError(f"a function value must be a multivector, a paravector or a number, "
+                          f"got {type(value).__name__}")
+    if value.n != n:
+        raise RankMismatchError(f"rank mismatch: function rank {n}, value rank {value.n}")
+    return value.coeffs.astype(np.complex128, copy=False)
 
 
 def _paravector_coeffs(components: np.ndarray, n: int) -> np.ndarray:

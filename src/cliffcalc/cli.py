@@ -312,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="write the JSON report to a file instead of stdout")
     sub = parser.add_subparsers(dest="command")
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--out", help="write the JSON report to a file")
+    # no default, so an absent subcommand --out keeps the top-level value
+    shared.add_argument("--out", default=argparse.SUPPRESS, help="write the JSON report to a file")
     for command, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text, parents=[shared])
         for key, (kind, default) in _ARGS[command].items():

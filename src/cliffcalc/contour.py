@@ -19,10 +19,10 @@ import numpy as np
 from .algebra import (
     CMultivector,
     Paravector,
-    _Element,
     _mul_coeffs,
     _mul_tables,
     _paravector_coeffs,
+    _value_coeffs,
 )
 from .errors import (
     ContourSpectrumError,
@@ -274,12 +274,17 @@ def _doubling(estimate: Callable[[int], np.ndarray], num: int, tol: float, max_n
     raise ConvergenceError(f"{what} not converged at {max_nodes} nodes per circle")
 
 
+def _require_analytic(F: StemFunction) -> None:
+    if not F.is_analytic:
+        raise DomainError(f"{F.label or 'function'} is not marked analytic: no contour integral")
+
+
 def _check_contour(contour: Contour, points: Sequence[complex], F: StemFunction | None = None):
     """Contour admissibility: every point enclosed, none within 1e-9 (relative)
     of the trace, and a stem function ``F`` analytic with every circle inside
     its domain."""
-    if F is not None and not F.is_analytic:
-        raise DomainError(f"{F.label or 'function'} is not marked analytic: no contour integral")
+    if F is not None:
+        _require_analytic(F)
     zs = np.asarray(points, dtype=np.complex128)
     centers, radii = contour._arrays
     # per point and circle: distance to the centre minus the radius, negative
@@ -306,9 +311,10 @@ class CauchyTransform:
 
     Function samples at the quadrature nodes depend only on the node count,
     so they are cached; evaluating at another paravector costs two weighted
-    sums of them and one Clifford product.  Derivative orders cache their own
-    node samples.  The nodes are nested: doubling their number keeps every old
-    node, so only the new ones are sampled.
+    sums of them and one Clifford product.  The nodes are nested: doubling
+    their number keeps every old node, so only the new ones are sampled.
+    Derivatives are the transforms of derived functions (see
+    :func:`cauchy_derivative`).
     """
 
     def __init__(
@@ -337,9 +343,9 @@ class CauchyTransform:
         self._centers, self._radii = (a[:, None] for a in contour._arrays)
         # per node count: the (C, count) nodes on the C circles and their weights
         self._grids: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # per derivative order: the finest node count sampled so far and
-        # the (C, count, 2**n) samples on the C circles
-        self._samples: dict[int, tuple[int, np.ndarray]] = {}
+        # the finest node count sampled so far and the (C, count, 2**n)
+        # samples on the C circles
+        self._samples: tuple[int, np.ndarray | None] = (0, None)
 
     def _grid(self, num: int) -> tuple[np.ndarray, np.ndarray]:
         """The ``num`` nodes of every circle and their weights
@@ -350,7 +356,7 @@ class CauchyTransform:
                                 phases * (self._radii / num))
         return self._grids[num]
 
-    def _values(self, num: int, order: int) -> np.ndarray:
+    def _values(self, num: int) -> np.ndarray:
         """The (C, num, 2**n) samples at the ``num`` nodes of every circle.
 
         Node ``k`` of ``num`` sits at angle ``2 pi k / num``; as ``2 pi (2k) /
@@ -359,22 +365,21 @@ class CauchyTransform:
         stride of cached ones, and doubling samples only the new odd nodes,
         in one batch for all circles.
         """
-        have, cached = self._samples.get(order, (0, None))
+        have, cached = self._samples
         stride = have // num
         if stride and stride * num == have and stride & (stride - 1) == 0:
             return cached[:, ::stride]
-        fn = self.F if order == 0 else self.F.differentiated(order)
         zs = self._grid(num)[0]
         if num == 2 * have:
             # interleave: old nodes at even, new ones at odd positions
-            new = fn.values_at(zs[:, 1::2].ravel()).reshape(len(zs), have, -1)
+            new = self.F.values_at(zs[:, 1::2].ravel()).reshape(len(zs), have, -1)
             samples = np.stack([cached, new], axis=2).reshape(len(zs), num, -1)
         else:
-            samples = fn.values_at(zs.ravel()).reshape(*zs.shape, -1)
-        self._samples[order] = (num, samples)
+            samples = self.F.values_at(zs.ravel()).reshape(*zs.shape, -1)
+        self._samples = (num, samples)
         return samples
 
-    def _kernel(self, comps: np.ndarray, levels: Sequence[int], order: int) -> np.ndarray:
+    def _kernel(self, comps: np.ndarray, levels: Sequence[int]) -> np.ndarray:
         # (L, K, 2**n) estimates at node counts ``levels`` (the last the finest)
         # for the K paravectors of the (K, n + 1) components ``comps``.
         # (z - k)^-1 = ((z - x) + v) / q(z), q(z) = z^2 - 2zx + |k|^2, x the scalar
@@ -393,17 +398,14 @@ class CauchyTransform:
         np.multiply(stacked[-1, 1], zs - x, out=stacked[-1, 0])
         for row, num in zip(stacked, levels[:-1]):
             row[..., ::top // num] = stacked[-1, ..., ::top // num] * (top // num)
-        samples = self._values(top, order).reshape(zs.size, -1)
+        samples = self._values(top).reshape(zs.size, -1)
         sums = (samples.T @ stacked.reshape(-1, zs.size).T).T.reshape(len(levels), 2, count, -1)
         v = np.zeros((count, 1 << n))
         v[:, 1 << np.arange(n)] = comps[:, 1:]
         sign, partner = _mul_tables(n)
         return sums[:, 0] + (sums[:, 1, :, None] @ (sign * v[:, partner]))[..., 0, :]
 
-    def _estimate(self, kappa: Paravector, num: int, order: int) -> np.ndarray:
-        return self._kernel(kappa.components[None], [num], order)[0, 0]
-
-    def eval_many(self, kappas: Sequence[Paravector], order: int = 0) -> list[CMultivector]:
+    def eval_many(self, kappas: Sequence[Paravector]) -> list[CMultivector]:
         """The transforms at many paravectors, stacked in every doubling pass."""
         if any(k.n != self.F.n for k in kappas):
             raise DomainError(f"rank mismatch: function rank {self.F.n}, paravectors {kappas}")
@@ -419,14 +421,14 @@ class CauchyTransform:
         def estimate(num: int) -> np.ndarray:
             if num not in pending:
                 levels = [num, 2 * num] if num == first and 2 * num <= self.max_nodes else [num]
-                pending.update(zip(levels, self._kernel(comps, levels, order)))
+                pending.update(zip(levels, self._kernel(comps, levels)))
             return pending.pop(num)
 
         value = _doubling(estimate, first, self.tol, self.max_nodes, "Cauchy transform")
         return [CMultivector(self.F.n, row) for row in value]
 
-    def eval(self, kappa: Paravector, order: int = 0) -> CMultivector:
-        return self.eval_many([kappa], order)[0]
+    def eval(self, kappa: Paravector) -> CMultivector:
+        return self.eval_many([kappa])[0]
 
     __call__ = eval
 
@@ -490,17 +492,17 @@ def cauchy_derivative(
     """Extended derivative in the paravector variable: the Cauchy transform
     of the order-th complex derivative of ``F``.
 
-    Functions carrying a symbolic derivative use it; black-box evaluators
-    fall back to Cauchy-integral differentiation on smaller local circles.
+    ``F`` must be marked analytic, and ``order`` an integer >= 0.  Functions
+    carrying a symbolic derivative use it; black-box evaluators fall back to
+    Cauchy-integral differentiation on smaller local circles.
     """
-    if order < 0:
-        raise DomainError(f"derivative order must be >= 0, got {order}")
-    if order == 0:
-        return cauchy_transform(F, kappa, contour, radius_fraction, tol, max_nodes)
-    if F.derivative is not None:
-        derived = F.differentiated(order)
-    else:
+    if type(order) is not int or order < 0:
+        raise DomainError(f"derivative order must be an integer >= 0, got {order!r}")
+    _require_analytic(F)
+    if F.derivative is None and order > 0:
         derived = _derivative_via_cauchy(F, order)
+    else:
+        derived = F.differentiated(order)
     return cauchy_transform(derived, kappa, contour, radius_fraction, tol, max_nodes)
 
 
@@ -527,9 +529,7 @@ def slice_regularity_residual(
                for at_x, at_y in ((x + h, y), (x - h, y), (x, y + h), (x, y - h))]
     many = getattr(phi, "eval_many", None)
     values = many(stencil) if many is not None else [phi(point) for point in stencil]
-    east, west, north, south = np.array(
-        [out.coeffs if isinstance(out, _Element) else out.to_cmultivector().coeffs
-         for out in values], dtype=np.complex128)
+    east, west, north, south = np.array([_value_coeffs(out, n) for out in values])
     # the CMultivector arithmetic (a - b) / (2 h), 0.5 (a + b s) and norm(), on the rows
     ddx = (east - west) * (1 / (2.0 * h))
     ddy = (north - south) * (1 / (2.0 * h))

@@ -20,14 +20,15 @@ import numpy as np
 from .algebra import (
     MAX_FORMAT_RANK,
     CMultivector,
-    Multivector,
     Paravector,
     digits_from_mask,
     mask_from_digits,
     _batch_mul_coeffs,
     _mul_tables,
+    _value_coeffs,
 )
-from .contour import Contour, _check_contour, build_contour, contour_quadrature
+from .contour import (QUAD_TOL, RADIUS_FRACTION, Contour, _check_contour, build_contour,
+                      contour_quadrature)
 from .errors import (
     ContourSpectrumError,
     DomainError,
@@ -38,8 +39,7 @@ from .errors import (
     SingularInputError,
     StemViolationError,
 )
-from .spectral import idempotents
-from .stem import PlanarDomain, StemFunction, slice_point
+from .stem import PlanarDomain, StemFunction, recombine, slice_point
 
 __all__ = [
     "CliffordOperator",
@@ -167,9 +167,6 @@ class CliffordOperator:
         # block (K, L) is the component of mask K ^ L times its blade sign
         out = _left_mult(blocks.transpose(1, 2, 0), self.n).transpose(2, 0, 3, 1)
         return out.reshape(self.size, self.size).astype(np.complex128)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix() @ np.asarray(vec, dtype=np.complex128)
 
     def frobenius(self) -> float:
         return float(np.linalg.norm(self.matrix()))
@@ -410,8 +407,8 @@ def riesz_dunford_matrix(
     F,
     T: CliffordOperator,
     contour: Contour | None = None,
-    radius_fraction: float = 0.5,
-    tol: float = 1e-12,
+    radius_fraction: float = RADIUS_FRACTION,
+    tol: float = QUAD_TOL,
 ) -> np.ndarray:
     """Contour functional calculus on the complexified matrix.
 
@@ -444,8 +441,8 @@ def riesz_dunford_eval(
     F,
     T: CliffordOperator,
     contour: Contour | None = None,
-    radius_fraction: float = 0.5,
-    tol: float = 1e-12,
+    radius_fraction: float = RADIUS_FRACTION,
+    tol: float = QUAD_TOL,
     flat_tol: float = FLAT_TOL,
 ) -> CliffordOperator:
     """Riesz-Dunford calculus returning a real Clifford operator.
@@ -479,8 +476,8 @@ def slice_calculus_eval(
     s_unit: Paravector,
     contour: Contour | None = None,
     domain: PlanarDomain | None = None,
-    radius_fraction: float = 0.5,
-    tol: float = 1e-12,
+    radius_fraction: float = RADIUS_FRACTION,
+    tol: float = QUAD_TOL,
     flat_tol: float = FLAT_TOL,
 ) -> CliffordOperator:
     """Slice functional calculus through the right S-resolvent.
@@ -510,22 +507,13 @@ def slice_calculus_eval(
     base2 = base @ base
     s_row = s_unit.to_multivector().coeffs
     unit_left = np.kron(left_mult_matrix(s_unit), np.eye(T.d))
-    iota_plus, iota_minus = (iota.coeffs for iota in idempotents(s_unit))
 
     def slice_values(zs: np.ndarray) -> np.ndarray:
         if stem is not None:
-            plus, minus = np.split(stem.values_at(np.concatenate([zs, zs.conj()])), 2)
-            return (_batch_mul_coeffs(plus, np.broadcast_to(iota_plus, plus.shape), n)
-                    + _batch_mul_coeffs(minus, np.broadcast_to(iota_minus, plus.shape), n))
-        out = np.empty((len(zs), 1 << n), dtype=np.complex128)
-        for k, z in enumerate(zs):
-            value = phi(slice_point(n, z.real, z.imag, s_unit))
-            if isinstance(value, (Multivector, Paravector)):
-                value = value.to_cmultivector()
-            elif not isinstance(value, CMultivector):
-                value = CMultivector.from_scalar(n, complex(value))
-            out[k] = value.coeffs
-        return out
+            return recombine(*np.split(stem.values_at(np.concatenate([zs, zs.conj()])), 2),
+                             s_unit)
+        return np.array([_value_coeffs(phi(slice_point(n, z.real, z.imag, s_unit)), n)
+                         for z in zs])
 
     def integrand(zs: np.ndarray, dzs: np.ndarray) -> np.ndarray:
         # s = u + v s_unit; the S-resolvent pencil only sees Re(s) and |s|^2
@@ -559,7 +547,7 @@ def spectral_mapping_distance(
     f: StemFunction,
     T: CliffordOperator,
     contour: Contour | None = None,
-    radius_fraction: float = 0.5,
+    radius_fraction: float = RADIUS_FRACTION,
 ) -> float:
     """Hausdorff distance between f(complex spectrum) and the complex
     spectrum of f(T), computed by two independent eigenvalue runs."""

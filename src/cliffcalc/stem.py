@@ -16,8 +16,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .algebra import CMultivector, Multivector, Paravector, _mul_coeffs, _paravector_coeffs
-from .errors import DomainError, FormatError, SaturationError
+from .algebra import (CMultivector, Multivector, Paravector, _mul_coeffs, _paravector_coeffs,
+                      _value_coeffs)
+from .errors import DomainError, FormatError, RankMismatchError, SaturationError
 from .spectral import SpectralData, eigenvalues
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "spectra_of_set_membership",
     "product_rule_residual",
     "representation_formula",
+    "recombine",
     "slice_lift",
     "slice_point",
     "halton",
@@ -224,8 +226,10 @@ class PlanarDomain:
 class StemFunction:
     """A complexified-algebra-valued function on a conjugate-symmetric domain.
 
-    ``fn`` maps a complex number to a :class:`CMultivector` of rank ``n``
-    (plain complex return values are wrapped).  The flags record what the
+    ``fn`` maps a complex number to a :class:`CMultivector`,
+    :class:`Multivector` or :class:`Paravector` of rank ``n``, or to a number
+    (a scalar); anything else is a ``FormatError``, and another rank a
+    ``RankMismatchError``.  The flags record what the
     caller claims: ``is_analytic`` enables the contour machinery and
     ``is_scalar`` marks complex-valued functions.  ``derivative`` optionally
     supplies the complex derivative as another stem function, and ``batch``
@@ -243,12 +247,7 @@ class StemFunction:
     batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, z: complex) -> CMultivector:
-        value = self.fn(complex(z))
-        if isinstance(value, CMultivector):
-            return value
-        if isinstance(value, Multivector):
-            return value.to_cmultivector()
-        return CMultivector.from_scalar(self.n, complex(value))
+        return CMultivector(self.n, _value_coeffs(self.fn(complex(z)), self.n))
 
     def values_at(self, zs: np.ndarray) -> np.ndarray:
         """Values at a (N,) array of points as a (N, 2**n) coefficient array:
@@ -258,7 +257,7 @@ class StemFunction:
             return self.batch(zs)
         out = np.empty((len(zs), 1 << self.n), dtype=np.complex128)
         for i, z in enumerate(zs):
-            out[i] = self(z).coeffs
+            out[i] = _value_coeffs(self.fn(complex(z)), self.n)
         return out
 
     def scalar_eval(self, z: complex) -> complex:
@@ -279,58 +278,58 @@ class StemFunction:
         return out
 
     def __mul__(self, other: "StemFunction") -> "StemFunction":
-        """Pointwise product; the domain of the left factor is kept, so
-        build products from functions sharing a domain."""
+        """Pointwise product (see :func:`_combine`)."""
         if not isinstance(other, StemFunction):
             return NotImplemented
-        deriv = None
-        if self.derivative is not None and other.derivative is not None:
-            left, right = self, other
-
-            def deriv():
-                return left.differentiated() * right + left * right.differentiated()
-
-        return StemFunction(
-            n=self.n,
-            fn=lambda z: self(z) * other(z),
-            domain=self.domain,
-            is_analytic=self.is_analytic and other.is_analytic,
-            is_scalar=self.is_scalar and other.is_scalar,
-            derivative=deriv,
-            label=f"({self.label})*({other.label})" if self.label and other.label else "",
-        )
+        return _combine((self, other), lambda a, b: _mul_coeffs(a, b, self.n),
+                        lambda: self.differentiated() * other + self * other.differentiated(),
+                        f"({self.label})*({other.label})" if self.label and other.label else "")
 
     def __add__(self, other: "StemFunction") -> "StemFunction":
         if not isinstance(other, StemFunction):
             return NotImplemented
-        deriv = None
-        if self.derivative is not None and other.derivative is not None:
-            left, right = self, other
-
-            def deriv():
-                return left.differentiated() + right.differentiated()
-
-        return StemFunction(
-            n=self.n,
-            fn=lambda z: self(z) + other(z),
-            domain=self.domain,
-            is_analytic=self.is_analytic and other.is_analytic,
-            is_scalar=self.is_scalar and other.is_scalar,
-            derivative=deriv,
-        )
+        return _combine((self, other), np.add,
+                        lambda: self.differentiated() + other.differentiated())
 
     def __rmul__(self, factor):
         if not isinstance(factor, (int, float)):
             return NotImplemented
-        return StemFunction(
-            n=self.n,
-            fn=lambda z: factor * self(z),
-            domain=self.domain,
-            is_analytic=self.is_analytic,
-            is_scalar=self.is_scalar,
-            derivative=None if self.derivative is None
-            else (lambda: factor * self.differentiated()),
-        )
+        return _combine((self,), lambda a: factor * a, lambda: factor * self.differentiated())
+
+
+def _combine(parts: Sequence[StemFunction], values: Callable[..., np.ndarray],
+             derivative: Callable[[], StemFunction], label: str = "") -> StemFunction:
+    """The stem function valued ``values(*rows)``, where ``rows`` are the
+    parts' (N, 2**n) values at the same points: one ``values_at`` call per
+    part for a whole batch.
+
+    The parts must share their domain pieces; the result keeps every part's
+    punctures, so a pole of any part stays off the contours.  ``derivative``
+    is attached when every part supplies a derivative.
+    """
+    first = parts[0]
+    for part in parts[1:]:
+        if part.n != first.n:
+            raise RankMismatchError(f"rank mismatch: {first.n} vs {part.n}")
+        if set(part.domain.pieces) != set(first.domain.pieces):
+            raise DomainError(f"combined stem functions need the same domain pieces, got "
+                              f"{first.domain.pieces} and {part.domain.pieces}")
+    domain = PlanarDomain(first.domain.pieces,
+                          [p for part in parts for p in part.domain.punctures])
+
+    def batch(zs: np.ndarray) -> np.ndarray:
+        return values(*(part.values_at(zs) for part in parts))
+
+    return StemFunction(
+        n=first.n,
+        fn=lambda z: CMultivector(first.n, batch(np.array([z]))[0]),
+        domain=domain,
+        is_analytic=all(part.is_analytic for part in parts),
+        is_scalar=all(part.is_scalar for part in parts),
+        derivative=derivative if all(part.derivative is not None for part in parts) else None,
+        label=label,
+        batch=batch,
+    )
 
 
 def verify_stem(
@@ -376,9 +375,15 @@ def evaluate_stem(F: StemFunction, kappa: Paravector) -> CMultivector:
     if data.is_real:
         return F(data.s_plus)
     plus, minus = F.values_at(np.array(data.points))
-    # F+ (1 - i s)/2 + F- (1 + i s)/2, with the idempotents multiplied out
-    s = _paravector_coeffs(data.s_unit.components, F.n)
-    return CMultivector(F.n, 0.5 * (plus + minus) + _mul_coeffs(0.5j * (minus - plus), s, F.n))
+    return CMultivector(F.n, recombine(plus, minus, data.s_unit))
+
+
+def recombine(plus: np.ndarray, minus: np.ndarray, s_unit: Paravector) -> np.ndarray:
+    """``plus (1 - i s)/2 + minus (1 + i s)/2`` for (..., 2**n) coefficient
+    rows and the unit imaginary ``s``: the two values joined through the
+    idempotents, multiplied out as ``(plus + minus)/2 + (i/2)(minus - plus) s``."""
+    s = _paravector_coeffs(s_unit.components, s_unit.n)
+    return 0.5 * (plus + minus) + _mul_coeffs(0.5j * (minus - plus), s, s_unit.n)
 
 
 def slice_point(n: int, x: float, y: float, s_unit: Paravector) -> Paravector:
@@ -492,14 +497,10 @@ def representation_formula(
     if y == 0.0:
         value = evaluate_stem(F, Paravector.from_scalar(n, x))
         return value, value
-    plus = evaluate_stem(F, slice_point(n, x, y, s_unit))
-    minus = evaluate_stem(F, slice_point(n, x, -y, s_unit))
-    s = s_unit.to_cmultivector()
-    half_m = 0.5 * (1 - 1j * s)
-    half_p = 0.5 * (1 + 1j * s)
-    upper = plus * half_m + minus * half_p
-    lower = plus * half_p + minus * half_m
-    return upper, lower
+    plus = evaluate_stem(F, slice_point(n, x, y, s_unit)).coeffs
+    minus = evaluate_stem(F, slice_point(n, x, -y, s_unit)).coeffs
+    upper, lower = recombine(plus, minus, s_unit), recombine(minus, plus, s_unit)
+    return CMultivector(n, upper), CMultivector(n, lower)
 
 
 def slice_lift(
@@ -516,23 +517,10 @@ def slice_lift(
     will flag a ``psi`` that was not slice regular.
     """
     n = s_unit.n
-    s = s_unit.to_cmultivector()
-    half_m = 0.5 * (1 - 1j * s)
-    half_p = 0.5 * (1 + 1j * s)
-
-    def promoted(kappa: Paravector) -> CMultivector:
-        value = psi(kappa)
-        if isinstance(value, Multivector):
-            return value.to_cmultivector()
-        if isinstance(value, CMultivector):
-            return value
-        return CMultivector.from_scalar(n, complex(value))
 
     def lifted(z: complex) -> CMultivector:
-        x, y = z.real, z.imag
-        return (
-            promoted(slice_point(n, x, y, s_unit)) * half_m
-            + promoted(slice_point(n, x, -y, s_unit)) * half_p
-        )
+        plus, minus = (_value_coeffs(psi(slice_point(n, z.real, y, s_unit)), n)
+                       for y in (z.imag, -z.imag))
+        return CMultivector(n, recombine(plus, minus, s_unit))
 
     return StemFunction(n=n, fn=lifted, domain=domain)

@@ -117,6 +117,16 @@ def test_out_flag_writes_file(tmp_path, capsysbinary):
     assert json.loads(target.read_text())["result"]["product"]["coeffs"] == {"": -1.0}
 
 
+@pytest.mark.parametrize("before", [True, False])
+def test_out_flag_works_before_and_after_the_subcommand(tmp_path, capsysbinary, before):
+    target = tmp_path / "report.json"
+    command, out_flag = ["mul", "-n", "1", "--a", "e1", "--b", "e1"], ["--out", str(target)]
+    code, out = run_cli(capsysbinary, out_flag + command if before else command + out_flag)
+    assert code == 0
+    assert out == b""
+    assert json.loads(target.read_text())["result"]["product"]["coeffs"] == {"": -1.0}
+
+
 def test_job_file_replay(tmp_path, capsysbinary):
     job = {"command": "eval",
            "args": {"fn": "z^2", "at": "e1+e2", "n": 2, "method": "both"}}

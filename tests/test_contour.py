@@ -156,6 +156,20 @@ def test_derivative_blackbox_fallback():
     assert (value - expected).norm() <= 1e-8
 
 
+def test_derivative_refuses_non_analytic_functions_and_bad_orders():
+    from cliffcalc.errors import DomainError
+
+    conj = StemFunction(n=1, fn=lambda z: CMultivector.from_scalar(1, z.conjugate()), domain=BIG)
+    kappa = Paravector(1, [0.2, 0.4])
+    for order in (0, 1, 2):
+        with pytest.raises(DomainError, match="analytic"):
+            cauchy_derivative(conj, order, kappa)
+    sq = stem_function("z^2", 1)
+    for order in (-1, 1.5, True, "1"):
+        with pytest.raises(DomainError, match="order"):
+            cauchy_derivative(sq, order, kappa)
+
+
 def test_power_series_consistency(rng):
     # entire function: transform equals the truncated power series
     F = stem_function("exp(0.5*z)", 2)
@@ -236,9 +250,10 @@ def test_nested_doubling_is_bit_identical_to_full_resampling():
     nested = CauchyTransform(F, spectrum_hint=hint, nodes=16)
     for num in (16, 32, 64, 128, 32, 16):
         full = CauchyTransform(F, spectrum_hint=hint, nodes=16)
-        for got, want in zip(nested._values(num, 0), full._values(num, 0)):
+        for got, want in zip(nested._values(num), full._values(num)):
             assert np.array_equal(got, want)
-        assert np.array_equal(nested._estimate(kappa, num, 0), full._estimate(kappa, num, 0))
+        assert np.array_equal(nested._kernel(kappa.components[None], [num])[0, 0],
+                              full._kernel(kappa.components[None], [num])[0, 0])
 
 
 def test_node_count_must_be_positive():
@@ -283,7 +298,7 @@ def test_non_analytic_stem_function_has_no_cauchy_transform():
         cauchy_transform(flagged, Paravector(1, [0.2, 0.5]))
 
 
-def per_node_transform(evaluator, kappa, order):
+def per_node_transform(evaluator, kappa):
     """Reference kernel: the sum over nodes of F(z) (z - k)^-1 w, with one
     resolvent and one Clifford product per node, doubled like ``eval``."""
     n = evaluator.F.n
@@ -291,7 +306,7 @@ def per_node_transform(evaluator, kappa, order):
     def estimate(num):
         total = 0.0
         phases = np.exp(1j * (2.0 * np.pi * np.arange(num) / num))
-        for f_vals, circle in zip(evaluator._values(num, order), evaluator.contour.circles):
+        for f_vals, circle in zip(evaluator._values(num), evaluator.contour.circles):
             zs = circle.center + circle.radius * phases
             res = np.array([resolvent(z, kappa).coeffs for z in zs])
             prod = _batch_mul_coeffs(f_vals, res, n)
@@ -308,10 +323,11 @@ def test_factored_kernel_matches_per_node_products(n):
     for _ in range(2):
         F = stem_function(random_stem_source(rng, n, max_degree=3), n)
         for kappa in (random_nonreal_pv(rng, n), Paravector.from_scalar(n, rng.normal())):
-            evaluator = CauchyTransform(F, spectrum_hint=eigenvalues(kappa).points)
             for order in (0, 1, 2):
-                want = per_node_transform(evaluator, kappa, order)
-                got = evaluator.eval(kappa, order).coeffs
+                evaluator = CauchyTransform(F.differentiated(order),
+                                            spectrum_hint=eigenvalues(kappa).points)
+                want = per_node_transform(evaluator, kappa)
+                got = evaluator.eval(kappa).coeffs
                 assert np.linalg.norm(got - want) <= 1e-13 * max(1.0, np.linalg.norm(want))
 
 
@@ -357,11 +373,11 @@ def test_eval_many_matches_eval_row_by_row():
     for kappa in kappas:
         alone = CauchyTransform(F, contour)
         alone.eval(kappa)
-        levels.append(alone._samples[0][0])
+        levels.append(alone._samples[0])
     assert levels[0] == levels[2] == 128 and levels[1] >= 256
     evaluator = CauchyTransform(F, contour)
     stacked = evaluator.eval_many(kappas)
-    assert evaluator._samples[0][0] == levels[1]
+    assert evaluator._samples[0] == levels[1]
     for kappa, got in zip(kappas, stacked):
         want = CauchyTransform(F, contour).eval(kappa)
         assert (got - want).norm() <= 1e-14 * max(1.0, want.norm())

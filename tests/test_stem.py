@@ -5,7 +5,7 @@ import pytest
 
 from cliffcalc.algebra import CMultivector, Paravector, isclose
 from cliffcalc.dsl import stem_function
-from cliffcalc.errors import DomainError, SaturationError
+from cliffcalc.errors import DomainError, RankMismatchError, SaturationError
 from cliffcalc.stem import (
     Disk,
     PlanarDomain,
@@ -358,3 +358,101 @@ def test_stem_function_rank_must_be_a_nonnegative_integer():
     for n in (-1, 1.5, True, "2"):
         with pytest.raises(DomainError, match="rank"):
             stem_function("z", n)
+
+
+def test_recombine_matches_the_idempotent_products():
+    from cliffcalc.spectral import idempotents
+    from cliffcalc.stem import recombine
+
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 4):
+        v = rng.normal(size=n)
+        s_unit = Paravector(n, np.concatenate([[0.0], v / np.linalg.norm(v)]))
+        iota_plus, iota_minus = idempotents(s_unit)
+        plus, minus = (rng.normal(size=(6, 1 << n)) + 1j * rng.normal(size=(6, 1 << n))
+                       for _ in range(2))
+        stacked = recombine(plus, minus, s_unit)
+        assert stacked.shape == plus.shape
+        for p, m, row in zip(plus, minus, stacked):
+            want = (CMultivector(n, p) * iota_plus + CMultivector(n, m) * iota_minus).coeffs
+            for got in (recombine(p, m, s_unit), row):
+                assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
+def test_combinators_keep_the_poles_of_both_parts():
+    from cliffcalc.contour import cauchy_transform
+    from cliffcalc.operators import CliffordOperator, riesz_dunford_eval
+
+    f, g = stem_function("z", 1), stem_function("1/(z - 0.5)", 1)
+    assert not f.domain.punctures and len(g.domain.punctures) == 1
+    kappa = Paravector(1, [0.45, 0.0])
+    T = CliffordOperator(1, 1, {0: [[0.45]]})
+    for combined, exact in ((f * g, -9.0), (g * f, -9.0), (f + g, -19.55), (2.0 * g, -40.0)):
+        assert combined.domain.punctures == g.domain.punctures
+        assert abs(cauchy_transform(combined, kappa).coeffs[0] - exact) <= 1e-10 * abs(exact)
+        value = riesz_dunford_eval(combined, T).components[0][0, 0]
+        assert abs(value - exact) <= 1e-10 * abs(exact)
+    h = stem_function("1/(z + 2)", 1)
+    for combined in (g * h, h + g):
+        assert sorted(p.real for p in combined.domain.punctures) == pytest.approx([-2.0, 0.5])
+
+
+def test_combinators_need_the_same_domain_pieces():
+    f = stem_function("z", 1)
+    for domain in (PlanarDomain.disk(0, 5.0), PlanarDomain([Disk(0j, 10.0), Rect(-1, 1, 9, 11)])):
+        other = stem_function("z", 1, domain=domain)
+        for combine in (lambda: f * other, lambda: other * f, lambda: f + other):
+            with pytest.raises(DomainError, match="domain pieces"):
+                combine()
+    with pytest.raises(RankMismatchError):
+        f * stem_function("z", 2)
+
+
+def test_combinators_evaluate_a_batch_through_the_parts_batches():
+    F, g = stem_function("(1+e1)*z^2 - e1", 1), stem_function("exp(0.5*z)", 1)
+    zs = np.array([0.3 + 0.2j, -1.0, 2.0 - 1.5j])
+    for combined, pointwise in ((F * g, lambda z: F(z) * g(z)), (F + g, lambda z: F(z) + g(z)),
+                                (2.5 * F, lambda z: 2.5 * F(z))):
+        want = np.array([pointwise(z).coeffs for z in zs])
+        assert combined.batch is not None
+        assert np.array_equal(combined.values_at(zs), want)
+        assert np.array_equal(combined(zs[0]).coeffs, want[0])
+    # a derivative when every part supplies one: here the product rule
+    z = 0.3 + 0.2j
+    dF, dg = F.differentiated(), g.differentiated()
+    assert isclose((F * g).differentiated()(z), dF(z) * g(z) + F(z) * dg(z))
+    blackbox = scalar_fn(1, cmath.exp)
+    assert (F * blackbox).derivative is None and (F + blackbox).derivative is None
+
+
+def test_function_values_are_coerced_alike_at_every_site():
+    from cliffcalc.algebra import Multivector
+    from cliffcalc.contour import slice_regularity_residual
+    from cliffcalc.errors import FormatError
+    from cliffcalc.operators import CliffordOperator, slice_calculus_eval
+
+    n, e1 = 2, Paravector(2, [0, 1, 0])
+    T = CliffordOperator(1, n, {0: [[0.4]], 1: [[0.3]]})
+    kappa = Paravector(n, [0.4, 0.3, 0.2])
+
+    def sites(value):
+        const = StemFunction(n=n, fn=lambda z: value, domain=BIG)
+        return [lambda: const(0.3 + 0.2j).coeffs,
+                lambda: const.values_at(np.array([0.3, -0.5j])),
+                lambda: slice_lift(lambda k: value, e1, BIG)(0.3 + 0.2j).coeffs,
+                lambda: slice_calculus_eval(lambda k: value, T, e1, domain=BIG).matrix()[:, 0],
+                lambda: slice_regularity_residual(lambda k: value, kappa)]
+
+    two = CMultivector.from_scalar(n, 2.0).coeffs
+    for value in (CMultivector.from_scalar(n, 2.0), Multivector.from_scalar(n, 2.0),
+                  Paravector.from_scalar(n, 2.0), 2, 2.0, 2 + 0j, np.float64(2.0)):
+        const, values, lifted, operator, residual = (site() for site in sites(value))
+        assert np.array_equal(const, two) and np.array_equal(lifted, two)
+        assert np.array_equal(values, [two, two])
+        assert np.abs(operator - two).max() <= 1e-12 and residual == 0.0
+    for value, error in (("2", FormatError), (None, FormatError), ([2.0], FormatError),
+                         (CMultivector.from_scalar(1, 2.0), RankMismatchError),
+                         (Paravector.from_scalar(3, 2.0), RankMismatchError)):
+        for site in sites(value):
+            with pytest.raises(error):
+                site()
