@@ -10,6 +10,7 @@ two successive estimates agree.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
@@ -59,6 +60,10 @@ PAIR_MERGE_FRACTION = 1e-3
 # Most entries one integrand call of contour_quadrature may return: about
 # 4 MB, four (256, 256) matrices at the operator size cap.
 _CHUNK_ENTRIES = 1 << 18
+# Largest samples the last Cauchy-transform state keeps for the next
+# evaluator.  A state's samples are C * N * 2**n complex values: 64 KB at
+# n = 4 on two circles of 128 nodes.
+_SHARED_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -143,10 +148,28 @@ def build_contour(
     are merged first, and so is a conjugate pair whose gap is below
     ``PAIR_MERGE_FRACTION`` of its domain clearance; a merged conjugate pair
     becomes a single circle centered on the real axis.
+
+    The contour depends on the inputs alone, so a call with the inputs of
+    the one before (the same ``domain`` object) returns the same immutable
+    :class:`Contour`.
     """
+    global _last_contour
+    key = (tuple(complex(z) for z in points), domain, radius_fraction,
+           tuple(complex(q) for q in exclude), nodes)
+    last = _last_contour
+    if last is None or last[0] != key:
+        last = _last_contour = (key, _build_contour(*key))
+    return last[1]
+
+
+# the inputs of the last build_contour call and its contour
+_last_contour: tuple[tuple, Contour] | None = None
+
+
+def _build_contour(points: tuple[complex, ...], domain: PlanarDomain, radius_fraction: float,
+                   exclude: tuple[complex, ...], nodes: int) -> Contour:
     if not 0.0 < radius_fraction < 1.0:
         raise NoContourError(f"radius fraction must be in (0, 1), got {radius_fraction}")
-    points = [complex(z) for z in points]
     if not points:
         raise NoContourError("no points to enclose")
     for z in points:
@@ -168,7 +191,7 @@ def build_contour(
             clearance = domain.clearance(c)
             gap = clearance - r
             for q in exclude:
-                gap = min(gap, abs(c - complex(q)) - r)
+                gap = min(gap, abs(c - q) - r)
             partner = None
             for j, (c2, r2) in enumerate(zip(centers, hull_radii)):
                 if j != i:
@@ -306,13 +329,87 @@ def _check_contour(contour: Contour, points: Sequence[complex], F: StemFunction 
                 raise DomainError(f"contour circle {circle} is not inside the function domain")
 
 
+class _TransformState:
+    """What every Cauchy transform of one stem function on one set of circles
+    shares: the node grids, the finest function samples so far, and whether
+    the function was admitted on the circles (analytic, and every circle
+    inside its domain)."""
+
+    def __init__(self, F: StemFunction, contour: Contour):
+        self.F = F
+        self.circles = contour.circles
+        self.centers, self.radii = (a[:, None] for a in contour._arrays)
+        # per node count: the (C, count) nodes on the C circles and their weights
+        self.grids: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # the finest node count sampled so far and the read-only
+        # (C, count, 2**n) samples on the C circles
+        self.samples: tuple[int, np.ndarray | None] = (0, None)
+        self.admitted = False
+
+    def grid(self, num: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``num`` nodes of every circle and their weights
+        (1/2 pi i) dz = (r/num) e^{i t}."""
+        if num not in self.grids:
+            phases = _phases(num)
+            self.grids[num] = (self.centers + self.radii * phases, phases * (self.radii / num))
+        return self.grids[num]
+
+    def values(self, num: int) -> np.ndarray:
+        """The (C, num, 2**n) samples at the ``num`` nodes of every circle.
+
+        Node ``k`` of ``num`` sits at angle ``2 pi k / num``; as ``2 pi (2k) /
+        (2 num)`` equals ``2 pi k / num`` exactly in floating point, the nodes
+        of ``num`` are every other node of ``2 num``.  So fewer nodes are a
+        stride of held ones, and doubling samples only the new odd nodes,
+        in one batch for all circles.
+        """
+        global _last_state
+        have, held = self.samples
+        stride = have // num
+        if stride and stride * num == have and stride & (stride - 1) == 0:
+            return held[:, ::stride]
+        zs = self.grid(num)[0]
+        if num == 2 * have:
+            # interleave: old nodes at even, new ones at odd positions
+            new = self.F.values_at(zs[:, 1::2].ravel()).reshape(len(zs), have, -1)
+            samples = np.stack([held, new], axis=2).reshape(len(zs), num, -1)
+        else:
+            samples = self.F.values_at(zs.ravel()).reshape(*zs.shape, -1)
+        if num > have:
+            samples.setflags(write=False)
+            self.samples = (num, samples)
+            if samples.nbytes > _SHARED_BYTES and _last_state is self:
+                _last_state = None  # too large to keep past its evaluators
+        return samples
+
+
+# the state of the last (stem function, circles) an evaluator was made for
+_last_state: _TransformState | None = None
+
+
+def _transform_state(F: StemFunction, contour: Contour) -> _TransformState:
+    """The last state made if it is of this very ``F`` on the contour's
+    circles, else a new one in its place.  ``F`` is matched by identity, as
+    a stem function's fields need not be hashable; threads only ever replace
+    the one reference, so a race at worst samples twice."""
+    global _last_state
+    state = _last_state
+    if state is None or state.F is not F or state.circles != contour.circles:
+        state = _last_state = _TransformState(F, contour)
+    return state
+
+
 class CauchyTransform:
     """Cauchy-transform evaluator for a fixed function on a fixed contour.
 
     Function samples at the quadrature nodes depend only on the node count,
-    so they are cached; evaluating at another paravector costs two weighted
+    so they are kept; evaluating at another paravector costs two weighted
     sums of them and one Clifford product.  The nodes are nested: doubling
     their number keeps every old node, so only the new ones are sampled.
+    The samples, node grids and the function's admission on the circles are
+    shared with the next evaluator of the same function object on the same
+    circles (see :func:`_transform_state`), so ``F`` must be pure: a function
+    whose values change between calls may be read from earlier samples.
     Derivatives are the transforms of derived functions (see
     :func:`cauchy_derivative`).
     """
@@ -340,43 +437,16 @@ class CauchyTransform:
         self.contour = contour
         self.tol = tol
         self.max_nodes = max_nodes
-        self._centers, self._radii = (a[:, None] for a in contour._arrays)
-        # per node count: the (C, count) nodes on the C circles and their weights
-        self._grids: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # the finest node count sampled so far and the (C, count, 2**n)
-        # samples on the C circles
+        self._state = _transform_state(F, contour)
+        # the finest node count this evaluator needed and its samples
         self._samples: tuple[int, np.ndarray | None] = (0, None)
 
-    def _grid(self, num: int) -> tuple[np.ndarray, np.ndarray]:
-        """The ``num`` nodes of every circle and their weights
-        (1/2 pi i) dz = (r/num) e^{i t}."""
-        if num not in self._grids:
-            phases = _phases(num)
-            self._grids[num] = (self._centers + self._radii * phases,
-                                phases * (self._radii / num))
-        return self._grids[num]
-
     def _values(self, num: int) -> np.ndarray:
-        """The (C, num, 2**n) samples at the ``num`` nodes of every circle.
-
-        Node ``k`` of ``num`` sits at angle ``2 pi k / num``; as ``2 pi (2k) /
-        (2 num)`` equals ``2 pi k / num`` exactly in floating point, the nodes
-        of ``num`` are every other node of ``2 num``.  So fewer nodes are a
-        stride of cached ones, and doubling samples only the new odd nodes,
-        in one batch for all circles.
-        """
-        have, cached = self._samples
-        stride = have // num
-        if stride and stride * num == have and stride & (stride - 1) == 0:
-            return cached[:, ::stride]
-        zs = self._grid(num)[0]
-        if num == 2 * have:
-            # interleave: old nodes at even, new ones at odd positions
-            new = self.F.values_at(zs[:, 1::2].ravel()).reshape(len(zs), have, -1)
-            samples = np.stack([cached, new], axis=2).reshape(len(zs), num, -1)
-        else:
-            samples = self.F.values_at(zs.ravel()).reshape(*zs.shape, -1)
-        self._samples = (num, samples)
+        """The (C, num, 2**n) samples at the ``num`` nodes of every circle,
+        from the shared state (see :meth:`_TransformState.values`)."""
+        samples = self._state.values(num)
+        if num > self._samples[0]:
+            self._samples = (num, samples)
         return samples
 
     def _kernel(self, comps: np.ndarray, levels: Sequence[int]) -> np.ndarray:
@@ -388,7 +458,7 @@ class CauchyTransform:
         # coarser level's at every stride-th node), in matrix-matrix products:
         # vector-matrix products of these sizes can go to the BLAS thread pool.
         n, top, count = self.F.n, levels[-1], len(comps)
-        zs, weights = (a.ravel() for a in self._grid(top))
+        zs, weights = (a.ravel() for a in self._state.grid(top))
         x, norm2 = comps[:, :1], np.einsum("ij,ij->i", comps, comps)[:, None]
         den = zs * zs - 2.0 * x * zs + norm2
         if (np.minimum.reduce(np.abs(den), axis=1) < 1e-14 * (1.0 + norm2[:, 0])).any():
@@ -415,7 +485,9 @@ class CauchyTransform:
         spectrum.real = comps[:, :1]
         spectrum.imag[:, 0] = np.sqrt(np.einsum("ij,ij->i", comps[:, 1:], comps[:, 1:]))
         spectrum.imag[:, 1] = -spectrum.imag[:, 0]
-        _check_contour(self.contour, spectrum.ravel(), self.F)
+        # the spectra every time; F against the circles once per shared state
+        _check_contour(self.contour, spectrum.ravel(), None if self._state.admitted else self.F)
+        self._state.admitted = True
         first, pending = self.contour.nodes, {}
 
         def estimate(num: int) -> np.ndarray:
@@ -445,7 +517,9 @@ def cauchy_transform(
     resolvent of ``kappa`` against ``F`` along circles around the spectrum.
 
     For analytic stem functions this reproduces the direct two-eigenvalue
-    formula of :func:`cliffcalc.stem.evaluate_stem`.
+    formula of :func:`cliffcalc.stem.evaluate_stem`.  ``F`` must be pure:
+    the samples are kept for a following evaluator of the same function
+    object on the same circles (see :class:`CauchyTransform`).
     """
     data = eigenvalues(kappa)
     evaluator = CauchyTransform(
@@ -517,7 +591,10 @@ def slice_regularity_residual(
     ``phi`` with the imaginary unit multiplied from the right; slice regular
     functions give O(h**2), the involution of the variable gives ~1).  A
     ``phi`` with an ``eval_many`` method gets the four points in one call.
+    The step ``h`` must be a finite number > 0, or it raises ``DomainError``.
     """
+    if not isinstance(h, numbers.Real) or not 0.0 < h < math.inf:
+        raise DomainError(f"finite-difference step must be a finite number > 0, got {h!r}")
     data = eigenvalues(kappa)
     if data.is_real:
         raise DegenerateDirectionError("regularity stencil needs a paravector off the real axis")

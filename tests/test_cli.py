@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +214,26 @@ def test_eval_rejects_quadrature_parameters_that_cannot_converge(capsysbinary, o
                                        "--method", "cauchy"] + option)
     assert code == 1
     assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize("step", ["0", "-1e-4", "nan", "inf"])
+def test_regularity_rejects_steps_that_are_not_finite_and_positive(capsysbinary, step):
+    code, out = run_cli(capsysbinary, ["regularity", "-n", "1", "--fn", "z^2",
+                                       "--at", "0.3 + 0.8e1", f"--fd-step={step}"])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+def test_cli_import_loads_no_verification_or_test_modules():
+    # every cold CLI job pays for what ``import cliffcalc.cli`` loads
+    src = Path(__import__("cliffcalc").__file__).resolve().parent.parent
+    unwanted = ["cliffcalc.verify", "numpy.random", "numpy.ma", "scipy", "hypothesis"]
+    probe = ("import sys, cliffcalc.cli; "
+             f"print([m for m in {unwanted!r} if m in sys.modules])")
+    path = os.pathsep.join([str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("rank", ["60", "12"])

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -539,3 +540,164 @@ def test_paravector_routes_build_no_intermediate_algebra_objects(monkeypatch):
     del created[:], products[:]
     evaluate_stem(F, kappa)
     assert created == [CMultivector] and len(products) == 1
+
+
+def counting_batch(F, calls):
+    """``F`` with a batch evaluator that records the size of every ``values_at`` call."""
+
+    def batch(zs):
+        calls.append(len(zs))
+        return F.values_at(zs)
+
+    return dataclasses.replace(F, batch=batch)
+
+
+def test_a_paravector_task_samples_its_contour_once():
+    calls = []
+    F = counting_batch(stem_function("exp(0.5*z)*(1+e1) + z^3 - e12*z", 2), calls)
+    kappa = Paravector(2, [0.5, 1.0, 0.4])
+    hint = eigenvalues(kappa).points
+    direct = evaluate_stem(F, kappa)
+    assert calls == [2]  # the two eigenvalues
+    cauchy_transform(F, kappa, radius_fraction=0.5)
+    assert calls == [2, 2 * 128]  # the first pass samples 128 nodes on both circles
+    # a second evaluator of the same function on the same contour samples nothing
+    evaluator = CauchyTransform(F, spectrum_hint=hint)
+    assert slice_regularity_residual(evaluator, kappa) <= 1e-6
+    assert calls == [2, 2 * 128] and evaluator._samples[0] == 128
+    # a coarser first level reads every other held node; _samples is the count it needed
+    coarse = CauchyTransform(F, spectrum_hint=hint, nodes=32)
+    assert coarse.contour.circles == evaluator.contour.circles
+    assert (coarse.eval(kappa) - direct).norm() <= 1e-10
+    assert calls == [2, 2 * 128] and coarse._samples[0] == 64
+
+
+def test_shared_samples_give_the_values_of_an_empty_store(monkeypatch):
+    import cliffcalc.contour as contour_module
+
+    F = stem_function("exp(0.5*z)*(1+e1) + z^3 - e12*z", 2)
+    contour = Contour((Circle(0.3 + 0.8j, 0.4), Circle(0.3 - 0.8j, 0.4)))
+    kappas = [Paravector(2, [0.3, 0.8, 0.0]), Paravector(2, [0.3, 0.0, 1.18]),
+              Paravector(2, [0.25, 0.6, 0.45])]
+    CauchyTransform(F, contour).eval(kappas[1])  # the store now holds >= 256 nodes
+    shared = [CauchyTransform(F, contour).eval(kappa) for kappa in kappas]
+    stacked = CauchyTransform(F, contour).eval_many(kappas)
+    for kappa, got in zip(kappas, shared):
+        monkeypatch.setattr(contour_module, "_last_state", None)
+        assert np.array_equal(got.coeffs, CauchyTransform(F, contour).eval(kappa).coeffs)
+    monkeypatch.setattr(contour_module, "_last_state", None)
+    for got, want in zip(stacked, CauchyTransform(F, contour).eval_many(kappas)):
+        assert np.array_equal(got.coeffs, want.coeffs)
+
+
+class UnhashableCubic:
+    """A stem function's ``fn`` that cannot be hashed, so neither can the function."""
+
+    __hash__ = None
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def __call__(self, z):
+        self.calls.append(z)
+        return CMultivector.from_scalar(2, z ** 3 - 2 * z + 1)
+
+
+def test_the_shared_state_is_per_function_object_and_circles():
+    kappa = Paravector(2, [0.5, 1.0, 0.0])
+    hint = eigenvalues(kappa).points
+    calls = []
+    F = counting_cubic(2, calls)
+    CauchyTransform(F, spectrum_hint=hint).eval(kappa)
+    assert len(calls) == 2 * 128
+    CauchyTransform(F, spectrum_hint=hint).eval(kappa)
+    assert len(calls) == 2 * 128
+    # an equal function that is another object misses, and so do other circles
+    CauchyTransform(counting_cubic(2, calls), spectrum_hint=hint).eval(kappa)
+    assert len(calls) == 4 * 128
+    other = CauchyTransform(F, spectrum_hint=hint, radius_fraction=0.35)
+    assert other.contour.circles != CauchyTransform(F, spectrum_hint=hint).contour.circles
+    other.eval(kappa)
+    assert len(calls) == 6 * 128
+    # a function with an unhashable field is matched by identity
+    unhashable_calls = []
+    G = StemFunction(n=2, fn=UnhashableCubic(unhashable_calls), domain=BIG, is_analytic=True,
+                     is_scalar=True)
+    with pytest.raises(TypeError):
+        hash(G)
+    values = [CauchyTransform(G, spectrum_hint=hint).eval(kappa) for _ in range(2)]
+    assert len(unhashable_calls) == 2 * 128 and values[0] == values[1]
+    H = StemFunction(n=2, fn=UnhashableCubic(unhashable_calls), domain=BIG, is_analytic=True,
+                     is_scalar=True)
+    CauchyTransform(H, spectrum_hint=hint).eval(kappa)
+    assert len(unhashable_calls) == 4 * 128
+
+
+def test_the_store_keeps_only_the_last_state_and_no_large_samples():
+    import cliffcalc.contour as contour_module
+
+    kappa = Paravector(2, [0.5, 1.0, 0.0])
+    functions = [scalar_fn(2, lambda z, c=c: z * z + c) for c in range(3)]
+    for F in functions:
+        cauchy_transform(F, kappa)
+        assert contour_module._last_state.F is F
+    # samples beyond the byte cap live only as long as their evaluators
+    big = scalar_fn(7, lambda z: z * z)
+    evaluator = CauchyTransform(big, spectrum_hint=[0.5 + 1j, 0.5 - 1j], nodes=512)
+    assert contour_module._last_state is evaluator._state
+    evaluator.eval(Paravector(7, [0.5, 1.0] + [0.0] * 6))
+    assert evaluator._samples[1].nbytes > contour_module._SHARED_BYTES
+    assert contour_module._last_state is None
+
+
+def test_an_admitted_function_still_has_every_spectrum_checked():
+    from cliffcalc.errors import DomainError
+
+    F = stem_function("z^2", 2)
+    contour = Contour((Circle(0.3 + 0.8j, 0.4), Circle(0.3 - 0.8j, 0.4)))
+    CauchyTransform(F, contour).eval(Paravector(2, [0.3, 0.8, 0.0]))
+    for _ in range(2):
+        with pytest.raises(ContourSpectrumError, match="not enclosed"):
+            CauchyTransform(F, contour).eval(Paravector(2, [0.3, 0.0, 1.5]))
+    flagged = StemFunction(n=2, fn=lambda z: z, domain=BIG)
+    far = Contour((Circle(0.3 + 0.8j, 20.0),))
+    for _ in range(2):
+        with pytest.raises(DomainError, match="analytic"):
+            CauchyTransform(flagged, contour).eval(Paravector(2, [0.3, 0.8, 0.0]))
+        with pytest.raises(DomainError, match="function domain"):
+            CauchyTransform(F, far).eval(Paravector(2, [0.3, 0.8, 0.0]))
+
+
+def test_build_contour_returns_one_contour_per_input_and_raises_every_time():
+    dom = PlanarDomain.disk(0, 3.0)
+    contour = build_contour([1j, -1j], dom)
+    assert build_contour((1j, -1j), dom) is contour
+    assert build_contour([1j, -1j], dom, nodes=32).nodes == 32
+    assert build_contour([1j, -1j], PlanarDomain.disk(0, 3.0)) == contour
+    for _ in range(2):
+        for points, fraction in (([3.0], 0.5), ([1j], 1.5), ([], 0.5)):
+            with pytest.raises(NoContourError):
+                build_contour(points, dom, radius_fraction=fraction)
+
+    # the call with another domain object took the one slot
+    assert build_contour([1j, -1j], dom) is not contour
+    assert build_contour([1j, -1j], dom) == contour
+
+    class UnhashableDomain(PlanarDomain):
+        __hash__ = None
+
+    unhashable = UnhashableDomain.disk(0, 3.0)
+    assert build_contour([1j, -1j], unhashable) == contour
+    assert build_contour([1j, -1j], unhashable) is build_contour([1j, -1j], unhashable)
+
+
+@pytest.mark.parametrize("h", [0, 0.0, -1e-4, math.nan, math.inf, -math.inf, "1e-4", None])
+def test_regularity_step_must_be_finite_and_positive(h):
+    from cliffcalc.errors import DomainError
+
+    calls = []
+    kappa = Paravector(2, [0.5, 1.0, 0.0])
+    evaluator = CauchyTransform(counting_cubic(2, calls), spectrum_hint=eigenvalues(kappa).points)
+    with pytest.raises(DomainError, match="step"):
+        slice_regularity_residual(evaluator, kappa, h=h)
+    assert calls == []
