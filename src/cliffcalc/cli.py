@@ -328,9 +328,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_dash_values(argv) -> list[str]:
+    """``--flag -value`` as ``--flag=-value``.  Argparse reads a value that starts
+    with one ``-`` and is not a plain number (``-1e-4``, ``-e1``, ``-z^2``, ``-1+2j``)
+    as an unknown option; ``-n`` and ``-h`` stay options."""
+    joined: list[str] = []
+    for arg in argv:
+        flag = joined[-1] if joined else ""
+        if (flag.startswith("--") and "=" not in flag and flag not in ("--", "--help")
+                and arg.startswith("-") and not arg.startswith("--") and arg not in ("-n", "-h")):
+            joined[-1] = f"{flag}={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    namespace = parser.parse_args(argv)
+    namespace = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     if not namespace.job and not namespace.command:
         parser.print_help()
         return 1

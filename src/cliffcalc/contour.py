@@ -136,26 +136,24 @@ def build_contour(
     points: Sequence[complex],
     domain: PlanarDomain,
     radius_fraction: float = RADIUS_FRACTION,
-    exclude: Sequence[complex] = (),
     nodes: int = DEFAULT_NODES,
 ) -> Contour:
     """One circle per conjugate-pair cluster of ``points``, inside ``domain``.
 
     Each circle takes ``radius_fraction`` of the clearance left between its
     cluster and the nearest of: the domain boundary (punctures included),
-    an explicitly excluded singularity, or half the gap to another cluster
-    (so neighbouring circles stay disjoint).  Clusters with no positive gap
-    are merged first, and so is a conjugate pair whose gap is below
-    ``PAIR_MERGE_FRACTION`` of its domain clearance; a merged conjugate pair
-    becomes a single circle centered on the real axis.
+    or half the gap to another cluster (so neighbouring circles stay
+    disjoint).  Clusters with no positive gap are merged first, and so is a
+    conjugate pair whose gap is below ``PAIR_MERGE_FRACTION`` of its domain
+    clearance; a merged conjugate pair becomes a single circle centered on
+    the real axis.
 
     The contour depends on the inputs alone, so a call with the inputs of
     the one before (the same ``domain`` object) returns the same immutable
     :class:`Contour`.
     """
     global _last_contour
-    key = (tuple(complex(z) for z in points), domain, radius_fraction,
-           tuple(complex(q) for q in exclude), nodes)
+    key = (tuple(complex(z) for z in points), domain, radius_fraction, nodes)
     last = _last_contour
     if last is None or last[0] != key:
         last = _last_contour = (key, _build_contour(*key))
@@ -167,7 +165,7 @@ _last_contour: tuple[tuple, Contour] | None = None
 
 
 def _build_contour(points: tuple[complex, ...], domain: PlanarDomain, radius_fraction: float,
-                   exclude: tuple[complex, ...], nodes: int) -> Contour:
+                   nodes: int) -> Contour:
     if not 0.0 < radius_fraction < 1.0:
         raise NoContourError(f"radius fraction must be in (0, 1), got {radius_fraction}")
     if not points:
@@ -190,8 +188,6 @@ def _build_contour(points: tuple[complex, ...], domain: PlanarDomain, radius_fra
         for i, (c, r) in enumerate(zip(centers, hull_radii)):
             clearance = domain.clearance(c)
             gap = clearance - r
-            for q in exclude:
-                gap = min(gap, abs(c - q) - r)
             partner = None
             for j, (c2, r2) in enumerate(zip(centers, hull_radii)):
                 if j != i:
@@ -232,7 +228,6 @@ def contour_quadrature(
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     contour: Contour,
     tol: float = QUAD_TOL,
-    max_nodes: int = MAX_NODES,
 ) -> np.ndarray:
     """Integrate ``fn(zs, dz/dt)`` over the contour parameter ``t``.
 
@@ -266,16 +261,15 @@ def contour_quadrature(
         sums[:] = [total + raw_sum(circle, ks, num) for total, circle in zip(sums, contour.circles)]
         return (sum(sums) * (2.0 * np.pi / num))[None]  # one row: the whole value
 
-    return _doubling(estimate, contour.nodes, tol, max_nodes, "contour quadrature")[0]
+    return _doubling(estimate, contour.nodes, tol, "contour quadrature")[0]
 
 
-def _doubling(estimate: Callable[[int], np.ndarray], num: int, tol: float, max_nodes: int,
-              what: str) -> np.ndarray:
+def _doubling(estimate: Callable[[int], np.ndarray], num: int, tol: float, what: str) -> np.ndarray:
     """``estimate(num)``, with the node count doubling until two successive estimates differ by
     less than ``tol`` times the result scale.  The first axis of a 2-D or larger estimate holds
     independent rows; each row keeps the first estimate at which it converges."""
-    if not 0.0 < tol < math.inf or num >= max_nodes:
-        raise DomainError(f"need a finite tol > 0 and nodes < {max_nodes}: got {tol}, {num}")
+    if not 0.0 < tol < math.inf or num >= MAX_NODES:
+        raise DomainError(f"need a finite tol > 0 and nodes < {MAX_NODES}: got {tol}, {num}")
     current = estimate(num)
     result = np.array(current)
     rows = result.reshape(len(result) if result.ndim > 1 else 1, -1)
@@ -285,7 +279,7 @@ def _doubling(estimate: Callable[[int], np.ndarray], num: int, tol: float, max_n
         a = a.reshape(rows.shape)
         return np.sqrt((a.real ** 2).sum(axis=1) + (a.imag ** 2).sum(axis=1))
 
-    while num < max_nodes:
+    while num < MAX_NODES:
         num *= 2
         refined = estimate(num)
         converged = row_norms(refined - current) <= tol * np.maximum(1.0, row_norms(refined))
@@ -294,7 +288,7 @@ def _doubling(estimate: Callable[[int], np.ndarray], num: int, tol: float, max_n
         if not open_rows.any():
             return result
         current = refined
-    raise ConvergenceError(f"{what} not converged at {max_nodes} nodes per circle")
+    raise ConvergenceError(f"{what} not converged at {MAX_NODES} nodes per circle")
 
 
 def _require_analytic(F: StemFunction) -> None:
@@ -419,7 +413,6 @@ class CauchyTransform:
         F: StemFunction,
         contour: Contour | None = None,
         tol: float = QUAD_TOL,
-        max_nodes: int = MAX_NODES,
         spectrum_hint: Sequence[complex] | None = None,
         radius_fraction: float = RADIUS_FRACTION,
         nodes: int | None = None,
@@ -427,16 +420,13 @@ class CauchyTransform:
         if contour is None:
             if spectrum_hint is None:
                 raise NoContourError("need either a contour or spectrum points to build one")
-            contour = build_contour(
-                spectrum_hint, F.domain, radius_fraction=radius_fraction,
-                exclude=F.domain.punctures, nodes=DEFAULT_NODES if nodes is None else nodes,
-            )
+            contour = build_contour(spectrum_hint, F.domain, radius_fraction=radius_fraction,
+                                    nodes=DEFAULT_NODES if nodes is None else nodes)
         elif nodes is not None and nodes != contour.nodes:
             contour = Contour(contour.circles, nodes=nodes)
         self.F = F
         self.contour = contour
         self.tol = tol
-        self.max_nodes = max_nodes
         self._state = _transform_state(F, contour)
         # the finest node count this evaluator needed and its samples
         self._samples: tuple[int, np.ndarray | None] = (0, None)
@@ -492,11 +482,11 @@ class CauchyTransform:
 
         def estimate(num: int) -> np.ndarray:
             if num not in pending:
-                levels = [num, 2 * num] if num == first and 2 * num <= self.max_nodes else [num]
+                levels = [num, 2 * num] if num == first and 2 * num <= MAX_NODES else [num]
                 pending.update(zip(levels, self._kernel(comps, levels)))
             return pending.pop(num)
 
-        value = _doubling(estimate, first, self.tol, self.max_nodes, "Cauchy transform")
+        value = _doubling(estimate, first, self.tol, "Cauchy transform")
         return [CMultivector(self.F.n, row) for row in value]
 
     def eval(self, kappa: Paravector) -> CMultivector:
@@ -511,7 +501,6 @@ def cauchy_transform(
     contour: Contour | None = None,
     radius_fraction: float = RADIUS_FRACTION,
     tol: float = QUAD_TOL,
-    max_nodes: int = MAX_NODES,
 ) -> CMultivector:
     """Contour-integral functional calculus: average the left-multiplied
     resolvent of ``kappa`` against ``F`` along circles around the spectrum.
@@ -526,7 +515,6 @@ def cauchy_transform(
         F,
         contour,
         tol=tol,
-        max_nodes=max_nodes,
         spectrum_hint=data.points,
         radius_fraction=radius_fraction,
     )
@@ -561,7 +549,6 @@ def cauchy_derivative(
     contour: Contour | None = None,
     radius_fraction: float = RADIUS_FRACTION,
     tol: float = QUAD_TOL,
-    max_nodes: int = MAX_NODES,
 ) -> CMultivector:
     """Extended derivative in the paravector variable: the Cauchy transform
     of the order-th complex derivative of ``F``.
@@ -577,7 +564,7 @@ def cauchy_derivative(
         derived = _derivative_via_cauchy(F, order)
     else:
         derived = F.differentiated(order)
-    return cauchy_transform(derived, kappa, contour, radius_fraction, tol, max_nodes)
+    return cauchy_transform(derived, kappa, contour, radius_fraction, tol)
 
 
 def slice_regularity_residual(

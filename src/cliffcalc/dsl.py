@@ -23,6 +23,7 @@ from __future__ import annotations
 import numbers
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Union
 
 import numpy as np
@@ -672,18 +673,14 @@ def _find_poles(divisor: Expr, n: int, radius: float) -> list[complex]:
     return roots
 
 
-def stem_function(
-    source: str | Expr,
-    n: int,
-    domain: PlanarDomain | None = None,
-    radius: float = DEFAULT_RADIUS,
-) -> StemFunction:
+def stem_function(source: str | Expr, n: int, domain: PlanarDomain | None = None) -> StemFunction:
     """Build a stem function from DSL source or a hand-built tree.
 
-    The default domain is the origin-centered disk of the given radius,
+    The default domain is the origin-centered disk of radius ``DEFAULT_RADIUS``,
     punctured at divisor zeros found by sampling (a heuristic: a pole the
-    scan misses goes unpunctured).  The symbolic derivative is attached, so
-    derivative-based operations need no extra quadrature.
+    scan misses goes unpunctured).  The symbolic derivative is attached, built
+    on first use and kept, so derivative-based operations need no extra
+    quadrature.
     """
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
         raise DomainError(f"algebra rank must be an integer >= 0, got {n!r}")
@@ -694,14 +691,15 @@ def stem_function(
     if domain is None:
         poles: list[complex] = []
         for divisor in _divisors(expr, []):
-            poles.extend(_find_poles(divisor, n, radius))
-        domain = PlanarDomain([Disk(0j, radius)], punctures=poles)
+            poles.extend(_find_poles(divisor, n, DEFAULT_RADIUS))
+        domain = PlanarDomain([Disk(0j, DEFAULT_RADIUS)], punctures=poles)
 
     def fn(z: complex) -> CMultivector:
         return CMultivector(n, batch(np.array([z]))[0])
 
+    @cache  # one derived function object, so its transforms share their samples
     def derivative() -> StemFunction:
-        return stem_function(differentiate(expr), n, domain=domain, radius=radius)
+        return stem_function(differentiate(expr), n, domain=domain)
 
     return StemFunction(
         n=n,

@@ -246,14 +246,14 @@ class SpectrumSet:
         return worst
 
 
-def complex_spectrum(T: CliffordOperator, size_cap: int = SIZE_CAP) -> SpectrumSet:
+def complex_spectrum(T: CliffordOperator) -> SpectrumSet:
     """All eigenvalues of the complexified matrix.
 
     The matrix is real in the canonical basis, so the real Schur path of the
     solver returns exactly paired conjugate eigenvalues.
     """
-    if T.size > size_cap:
-        raise DomainError(f"operator size {T.size} exceeds the configured cap {size_cap}")
+    if T.size > SIZE_CAP:
+        raise DomainError(f"operator size {T.size} exceeds the cap {SIZE_CAP}")
     matrix = T.matrix()
     eigs = np.linalg.eigvals(matrix.real)
     order = np.lexsort((eigs.imag, eigs.real))
@@ -276,24 +276,22 @@ class MembershipResult:
         return self.member
 
 
-def _pencil_margin(T: CliffordOperator, kappa: Paravector, tol: float) -> tuple[np.ndarray, float]:
+def _pencil_margin(T: CliffordOperator, kappa: Paravector) -> tuple[np.ndarray, float]:
     """The pencil ``T^2 - 2 Re(k) T + |k|^2`` and its smallest singular value over
-    ``tol`` times its max-norm: below 1, ``kappa`` is in the Clifford spectrum."""
+    ``SINGULARITY_TOL`` times its max-norm: below 1, ``kappa`` is in the Clifford spectrum."""
     if kappa.n != T.n:
         raise RankMismatchError(f"rank mismatch: operator {T.n}, paravector {kappa.n}")
     matrix = T.matrix()
     kappa_norm2 = float(np.dot(kappa.components, kappa.components))
     pencil = matrix @ matrix - 2.0 * kappa.scalar * matrix + kappa_norm2 * np.eye(T.size)
     smallest = float(np.linalg.svd(pencil, compute_uv=False)[-1])
-    return pencil, smallest / (tol * max(1.0, float(np.max(np.abs(pencil)))))
+    return pencil, smallest / (SINGULARITY_TOL * max(1.0, float(np.max(np.abs(pencil)))))
 
 
-def clifford_spectrum_contains(
-    T: CliffordOperator, kappa: Paravector, tol: float = SINGULARITY_TOL
-) -> MembershipResult:
+def clifford_spectrum_contains(T: CliffordOperator, kappa: Paravector) -> MembershipResult:
     """Membership of a paravector in the Clifford spectrum of ``T``: whether
     the quadratic pencil is singular (see ``_pencil_margin``)."""
-    _, margin = _pencil_margin(T, kappa, tol)
+    _, margin = _pencil_margin(T, kappa)
     return MembershipResult(member=margin < 1.0, margin=margin)
 
 
@@ -381,26 +379,24 @@ def _operator_contour(T: CliffordOperator, contour: Contour | None, domain: Plan
     if contour is None:
         if domain is None:
             raise NoContourError("need a contour, or a stem function or domain to build one")
-        contour = build_contour(spectrum, domain, radius_fraction=radius_fraction,
-                                exclude=domain.punctures)
+        contour = build_contour(spectrum, domain, radius_fraction=radius_fraction)
     _check_contour(contour, spectrum, stem)
     return contour
 
 
-def _real_operator(S: np.ndarray, T: CliffordOperator, what: str, tol: float,
-                   flat_tol: float) -> CliffordOperator:
+def _real_operator(S: np.ndarray, T: CliffordOperator, what: str, tol: float) -> CliffordOperator:
     """Project a calculus value back onto blade components; a violation of
-    the real structure beyond ``flat_tol`` (relative) reports a non-stem
+    the real structure beyond ``FLAT_TOL`` (relative) reports a non-stem
     function."""
     scale = max(1.0, float(np.linalg.norm(S)))
     defect = real_subspace_defect(S)
-    if defect > flat_tol * scale:
+    if defect > FLAT_TOL * scale:
         raise StemViolationError(
             f"{what} value is not fixed by the real structure (defect {defect:.3g}); "
             "the function is not a stem function",
             residual=defect,
         )
-    return operator_from_matrix(S, T.d, T.n, tol=max(flat_tol, 10 * tol))
+    return operator_from_matrix(S, T.d, T.n, tol=max(FLAT_TOL, 10 * tol))
 
 
 def riesz_dunford_matrix(
@@ -443,24 +439,23 @@ def riesz_dunford_eval(
     contour: Contour | None = None,
     radius_fraction: float = RADIUS_FRACTION,
     tol: float = QUAD_TOL,
-    flat_tol: float = FLAT_TOL,
 ) -> CliffordOperator:
     """Riesz-Dunford calculus returning a real Clifford operator.
 
     For stem functions the integral is fixed by the real-structure
     conjugation, so it projects back onto blade components; a violation
-    beyond ``flat_tol`` (relative) reports the function as non-stem.
+    beyond ``FLAT_TOL`` (relative) reports the function as non-stem.
     """
     S = riesz_dunford_matrix(F, T, contour, radius_fraction, tol)
-    return _real_operator(S, T, "contour calculus", tol, flat_tol)
+    return _real_operator(S, T, "contour calculus", tol)
 
 
 # -- slice calculus -------------------------------------------------------------
 
-def s_resolvent_right(s: Paravector, T: CliffordOperator, tol: float = SINGULARITY_TOL) -> np.ndarray:
+def s_resolvent_right(s: Paravector, T: CliffordOperator) -> np.ndarray:
     """Right S-resolvent ``-(T - s*) (T^2 - 2 Re(s) T + |s|^2)^{-1}`` on the
     complexified module, with the involution acting by left multiplication."""
-    pencil, margin = _pencil_margin(T, s, tol)
+    pencil, margin = _pencil_margin(T, s)
     if margin < 1.0:
         raise SingularInputError(
             f"paravector {s!r} lies in the Clifford spectrum; S-resolvent undefined"
@@ -478,7 +473,6 @@ def slice_calculus_eval(
     domain: PlanarDomain | None = None,
     radius_fraction: float = RADIUS_FRACTION,
     tol: float = QUAD_TOL,
-    flat_tol: float = FLAT_TOL,
 ) -> CliffordOperator:
     """Slice functional calculus through the right S-resolvent.
 
@@ -529,7 +523,7 @@ def slice_calculus_eval(
         return _apply_left(_left_mult(weights, n), s_res)
 
     raw = contour_quadrature(integrand, contour, tol=tol)
-    return _real_operator(raw / (2.0 * np.pi), T, "slice calculus", tol, flat_tol)
+    return _real_operator(raw / (2.0 * np.pi), T, "slice calculus", tol)
 
 
 # -- derived checks -------------------------------------------------------------
@@ -543,19 +537,14 @@ def hausdorff_distance(a: Sequence[complex], b: Sequence[complex]) -> float:
     return max(forward, backward)
 
 
-def spectral_mapping_distance(
-    f: StemFunction,
-    T: CliffordOperator,
-    contour: Contour | None = None,
-    radius_fraction: float = RADIUS_FRACTION,
-) -> float:
+def spectral_mapping_distance(f: StemFunction, T: CliffordOperator) -> float:
     """Hausdorff distance between f(complex spectrum) and the complex
     spectrum of f(T), computed by two independent eigenvalue runs."""
     if not f.is_scalar:
         raise DomainError("the spectral mapping check applies to complex-valued functions")
     spectrum = complex_spectrum(T).eigenvalues
     mapped = [f.scalar_eval(lam) for lam in spectrum]
-    image = riesz_dunford_eval(f, T, contour, radius_fraction)
+    image = riesz_dunford_eval(f, T)
     return hausdorff_distance(mapped, complex_spectrum(image).eigenvalues)
 
 

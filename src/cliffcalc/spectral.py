@@ -9,6 +9,8 @@ real point and the only projection is the identity.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -16,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import CMultivector, Multivector, Paravector
-from .errors import DegenerateDirectionError, SpectralPointError
+from .errors import DegenerateDirectionError, DomainError, SpectralPointError
 
 __all__ = [
     "SpectralData",
@@ -96,8 +98,11 @@ def resolvent(lam: complex, kappa: Paravector, tol: float = SPECTRAL_POINT_TOL) 
 
     Uses the closed form (lam - kappa*) / (lam**2 - 2 lam Re(k) + |k|**2);
     the scalar denominator vanishing is exactly membership of ``lam`` in the
-    spectrum.
+    spectrum.  The tolerance ``tol`` must be a finite number > 0, or it
+    raises ``DomainError``.
     """
+    if not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
+        raise DomainError(f"resolvent tolerance must be a finite number > 0, got {tol!r}")
     lam = complex(lam)
     kappa_norm2 = float(np.dot(kappa.components, kappa.components))
     den = lam * lam - 2.0 * lam * kappa.scalar + kappa_norm2

@@ -333,7 +333,7 @@ def _combine(parts: Sequence[StemFunction], values: Callable[..., np.ndarray],
 
 
 def verify_stem(
-    fn, domain: PlanarDomain, samples: int = STEM_SAMPLES, tol: float = STEM_TOL, n: int | None = None
+    fn, domain: PlanarDomain, samples: int = STEM_SAMPLES, n: int | None = None
 ) -> tuple[bool, float]:
     """Sample-check the stem identity; returns (verdict, worst residual).
 
@@ -357,7 +357,7 @@ def verify_stem(
         value = F(z)
         defect = (F(z.conjugate()) - value.bar()).norm()
         worst = max(worst, defect / max(1.0, value.norm()))
-    return worst <= tol, worst
+    return worst <= STEM_TOL, worst
 
 
 def evaluate_stem(F: StemFunction, kappa: Paravector) -> CMultivector:
@@ -407,7 +407,6 @@ def intrinsic_check(
     f: StemFunction,
     slices: Sequence[Paravector],
     points: Sequence[tuple[float, float]],
-    tol: float = STEM_TOL,
 ) -> tuple[bool, float]:
     """Sample-check that a complex-valued stem function is intrinsic.
 
@@ -430,7 +429,7 @@ def intrinsic_check(
             flip = (evaluate_stem(f, kappa.star()) - value.star()).norm()
             scale = max(1.0, value.norm())
             worst = max(worst, in_plane / scale, flip / scale)
-    return worst <= tol, worst
+    return worst <= STEM_TOL, worst
 
 
 def zero_set_membership(F: StemFunction, kappa: Paravector, tol: float = STEM_TOL) -> bool:

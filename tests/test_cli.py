@@ -224,6 +224,31 @@ def test_regularity_rejects_steps_that_are_not_finite_and_positive(capsysbinary,
     assert json.loads(out)["error"]["type"] == "DomainError"
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_resolvent_refuses_tolerances_that_are_not_finite_and_positive(capsysbinary, tol):
+    code, out = run_cli(capsysbinary, ["resolvent", "-n", "1", "--paravector", "e1",
+                                       "--lambda", "1j", f"--tol={tol}"])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["regularity", "-n", "1", "--fn", "z^2", "--at", "0.3 + 0.8e1"], "--fd-step", "-1e-4"),
+    (["eval", "-n", "2", "--fn", "z^2", "--at", "0.3+0.5e1", "--method", "cauchy"], "--tol",
+     "-1e-9"),
+    (["mul", "-n", "2", "--b", "e2"], "--a", "-e1"),
+    (["eval", "-n", "2", "--at", "0.3+0.5e1"], "--fn", "-z^2"),
+    (["resolvent", "-n", "1", "--paravector", "e1"], "--lambda", "-1+2j"),
+])
+def test_a_flag_value_starting_with_a_minus_reads_like_its_joined_form(capsysbinary, argv, flag,
+                                                                        value):
+    joined = run_cli(capsysbinary, argv + [f"{flag}={value}"])
+    assert json.loads(joined[1])
+    assert run_cli(capsysbinary, argv + [flag, value]) == joined
+    # also right before the rank flag: the join takes the value and leaves -n an option
+    assert run_cli(capsysbinary, argv[:1] + [flag, value] + argv[1:]) == joined
+
+
 def test_cli_import_loads_no_verification_or_test_modules():
     # every cold CLI job pays for what ``import cliffcalc.cli`` loads
     src = Path(__import__("cliffcalc").__file__).resolve().parent.parent

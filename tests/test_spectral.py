@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cliffcalc.algebra import CMultivector, Multivector, Paravector, isclose, parse_multivector
-from cliffcalc.errors import DegenerateDirectionError, SpectralPointError
+from cliffcalc.errors import DegenerateDirectionError, DomainError, SpectralPointError
 from cliffcalc.spectral import (
     DegenerateProjectionWarning,
     eigenvalues,
@@ -62,6 +62,12 @@ def test_resolvent_examples():
     value = resolvent(0.0, k)
     product = (0.0 - k.to_cmultivector()) * value
     assert isclose(product, CMultivector.from_scalar(2, 1.0))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), "1e-12", None])
+def test_resolvent_tolerance_must_be_finite_and_positive(tol):
+    with pytest.raises(DomainError, match="tolerance"):
+        resolvent(1j, Paravector(1, [0, 1]), tol=tol)
 
 
 def test_resolvent_multiply_back(rng):
