@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import FormatError, MaskRangeError, RankMismatchError, SingularInputError
+from .errors import DomainError, FormatError, MaskRangeError, RankMismatchError, SingularInputError
 
 __all__ = [
     "Multivector",
@@ -142,6 +142,14 @@ def _batch_mul_coeffs(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Row-wise products of two (N, 2**n) coefficient stacks."""
     sign, partner = _mul_tables(n)
     return np.einsum("kj,jl,kjl->kl", a, sign, b[:, partner])
+
+
+def _exponent(k) -> int:
+    """``k`` as a power exponent: an integer >= 0 that is not a bool, or a
+    DomainError (``_power`` never ends on a negative one)."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+        raise DomainError(f"exponent must be an integer >= 0, got {k!r}")
+    return int(k)
 
 
 def _power(base, exponent: int, mul, one):
@@ -274,9 +282,11 @@ class _Element:
         return NotImplemented
 
     def __pow__(self, exponent):
-        if not isinstance(exponent, numbers.Integral) or exponent < 0:
+        try:
+            k = _exponent(exponent)
+        except DomainError:
             return NotImplemented
-        return _power(self, int(exponent), lambda a, b: a * b, type(self).from_scalar(self.n, 1))
+        return _power(self, k, lambda a, b: a * b, type(self).from_scalar(self.n, 1))
 
     def __eq__(self, other):
         if isinstance(other, _Element):
@@ -393,10 +403,10 @@ class Paravector:
         return cls(n, components)
 
     @classmethod
-    def from_multivector(cls, mv: _Element, tol: float = DEFAULT_TOL) -> "Paravector":
+    def from_multivector(cls, mv: _Element) -> "Paravector":
         coeffs = np.asarray(mv.coeffs)
         if np.iscomplexobj(coeffs):
-            if np.max(np.abs(coeffs.imag), initial=0.0) > tol * max(1.0, mv.norm()):
+            if np.max(np.abs(coeffs.imag), initial=0.0) > DEFAULT_TOL * max(1.0, mv.norm()):
                 raise FormatError("multivector has non-real coefficients")
             coeffs = coeffs.real
         components = np.zeros(mv.n + 1)
@@ -406,7 +416,7 @@ class Paravector:
         for j in range(1, mv.n + 1):
             components[j] = coeffs[1 << (j - 1)]
             rest[1 << (j - 1)] = 0
-        if np.max(np.abs(rest), initial=0.0) > tol * max(1.0, mv.norm()):
+        if np.max(np.abs(rest), initial=0.0) > DEFAULT_TOL * max(1.0, mv.norm()):
             raise FormatError("multivector has grade >= 2 content, not a paravector")
         return cls(mv.n, components)
 
@@ -426,15 +436,6 @@ class Paravector:
     @property
     def is_real(self) -> bool:
         return bool(np.all(self.components[1:] == 0.0))
-
-    def unit_imaginary(self) -> "Paravector | None":
-        """Direction of the grade-one part, or None for a real paravector."""
-        y = self.vector_norm
-        if y == 0.0:
-            return None
-        components = self.components.copy()
-        components[0] = 0.0
-        return Paravector(self.n, components / y)
 
     def norm(self) -> float:
         return math.sqrt(self.components @ self.components)
@@ -590,7 +591,7 @@ def _format_coeff(value) -> str:
         else:
             return f"({value.real:.12g}{value.imag:+.12g}j)"
     value = float(value)
-    if value == int(value) and abs(value) < 1e16:
+    if abs(value) < 1e16 and value == int(value):  # nan and inf print as themselves
         return str(int(value))
     return repr(value)
 
@@ -635,6 +636,8 @@ def parse_multivector(text: str, n: int) -> Multivector:
             raise FormatError(f"missing +/- between terms at position {pos}: {text!r}")
         sign = -1.0 if sign_txt == "-" else 1.0
         value = float(num) if num is not None else 1.0
+        if not math.isfinite(value):
+            raise FormatError(f"coefficient {num} overflows a double: {text!r}")
         mask = mask_from_digits(blade, n) if blade is not None else 0
         coeffs[mask] += sign * value
         pos = match.end()
@@ -671,19 +674,23 @@ def multivector_to_json(mv) -> dict:
 def multivector_from_json(obj: dict):
     """Inverse of :func:`multivector_to_json`; missing keys mean zero."""
     try:
-        n = int(obj["n"])
+        n = obj["n"]
         entries = obj.get("coeffs", {})
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed multivector JSON: {obj!r}") from exc
+    if not (type(n) is int and 0 <= n <= MAX_FORMAT_RANK and isinstance(entries, dict)):
+        raise FormatError(f"multivector JSON needs an integer 0 <= n <= {MAX_FORMAT_RANK} and "
+                          f"an object of coefficients, got {obj!r}")
     coeffs = np.zeros(1 << n, dtype=np.complex128)
     for key, value in entries.items():
-        mask = mask_from_digits(key, n)
-        if isinstance(value, (list, tuple)):
-            if len(value) != 2:
-                raise FormatError(f"complex coefficient must be [re, im]: {value!r}")
-            coeffs[mask] = complex(value[0], value[1])
-        else:
-            coeffs[mask] = float(value)
+        try:
+            mask, parts = mask_from_digits(key, n), np.asarray(value, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            parts = None
+        if parts is None or parts.shape not in ((), (2,)) or not np.all(np.isfinite(parts)):
+            raise FormatError(f"multivector coefficient {key!r} needs generator digits and a "
+                              f"finite number or [re, im] pair, got {value!r}")
+        coeffs[mask] = complex(*parts) if parts.shape else parts
     if np.all(coeffs.imag == 0.0):
         return Multivector(n, coeffs.real)
     return CMultivector(n, coeffs)

@@ -18,7 +18,8 @@ from .algebra import MAX_FORMAT_RANK, Paravector, multivector_to_json, parse_mul
 from .contour import (DEFAULT_NODES, FD_STEP, QUAD_TOL, RADIUS_FRACTION, CauchyTransform,
                       slice_regularity_residual)
 from .dsl import stem_function
-from .errors import DegenerateDirectionError, FormatError, InputError, ToolkitError
+from .errors import (DegenerateDirectionError, DomainError, FormatError, InputError, NumericError,
+                     ToolkitError)
 from .operators import (
     clifford_spectrum_slice,
     complex_spectrum,
@@ -105,7 +106,7 @@ def _convert(key: str, kind, value):
 
 def _job_args(command: str, args) -> dict:
     """A ``command`` job's ``args`` checked against the table and converted, with
-    every absent optional key at its default."""
+    every absent optional key at its default; a float or complex must be finite."""
     if not isinstance(args, dict):
         raise FormatError(f"job 'args' must be a JSON object, got {args!r}")
     table = _ARGS[command]
@@ -117,6 +118,8 @@ def _job_args(command: str, args) -> dict:
     for key, (kind, default) in table.items():
         if key in args:
             values[key] = _convert(key, kind, args[key])
+            if kind in ("float", "complex") and not np.isfinite(values[key]):
+                raise DomainError(f"argument {key!r} must be finite, got {values[key]!r}")
         elif default is _REQUIRED:
             raise FormatError(f"missing argument {key!r}")
         else:
@@ -166,7 +169,9 @@ def _slice_unit(args: dict, n: int) -> Paravector:
 def cmd_mul(args: dict) -> dict:
     a = parse_multivector(args["a"], args["n"])
     b = parse_multivector(args["b"], args["n"])
-    return {"product": multivector_to_json(a * b)}
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to render_job
+        product = a * b
+    return {"product": multivector_to_json(product)}
 
 
 def cmd_spectrum(args: dict) -> dict:
@@ -292,9 +297,14 @@ def run_job(job: dict) -> dict:
 
 
 def render_job(job: dict) -> bytes:
-    """Run one job and encode the report canonically (byte-reproducible)."""
+    """Run one job and encode the report canonically (byte-reproducible) as
+    strict JSON: a result that holds a NaN or an infinity is a NumericError."""
     report = run_job(job)
-    return (json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode()
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False)
+    except ValueError:
+        raise NumericError(f"the {report['command']} result is not finite") from None
+    return (text + "\n").encode()
 
 
 # -- argument parsing -------------------------------------------------------------

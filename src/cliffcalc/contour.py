@@ -542,14 +542,7 @@ def _derivative_via_cauchy(F: StemFunction, order: int) -> StemFunction:
     return StemFunction(n=F.n, fn=fn, domain=F.domain, is_analytic=True, is_scalar=F.is_scalar)
 
 
-def cauchy_derivative(
-    F: StemFunction,
-    order: int,
-    kappa: Paravector,
-    contour: Contour | None = None,
-    radius_fraction: float = RADIUS_FRACTION,
-    tol: float = QUAD_TOL,
-) -> CMultivector:
+def cauchy_derivative(F: StemFunction, order: int, kappa: Paravector) -> CMultivector:
     """Extended derivative in the paravector variable: the Cauchy transform
     of the order-th complex derivative of ``F``.
 
@@ -564,7 +557,7 @@ def cauchy_derivative(
         derived = _derivative_via_cauchy(F, order)
     else:
         derived = F.differentiated(order)
-    return cauchy_transform(derived, kappa, contour, radius_fraction, tol)
+    return cauchy_transform(derived, kappa)
 
 
 def slice_regularity_residual(

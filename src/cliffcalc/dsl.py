@@ -32,11 +32,13 @@ from .algebra import (
     CMultivector,
     Multivector,
     _batch_mul_coeffs,
+    _exponent,
     _power,
     format_multivector,
     mask_from_digits,
 )
-from .errors import DomainError, MaskRangeError, NumericError, ParseError, SingularInputError
+from .errors import (DomainError, FormatError, MaskRangeError, NumericError, ParseError,
+                     SingularInputError)
 from .stem import Disk, PlanarDomain, StemFunction
 
 __all__ = [
@@ -157,40 +159,9 @@ def _depth(e: Expr) -> int:
 
 def is_scalar_expr(e: Expr) -> bool:
     """Whether the expression stays in the scalar (complex) subalgebra."""
-    if isinstance(e, (Lit, Var, Func)):
-        return True
     if isinstance(e, CliffLit):
-        return bool(np.all(e.value.nonscalar().coeffs == 0.0))
-    if isinstance(e, Neg):
-        return is_scalar_expr(e.inner)
-    if isinstance(e, Pow):
-        return is_scalar_expr(e.base)
-    return is_scalar_expr(e.left) and is_scalar_expr(e.right)
-
-
-def validate(e: Expr) -> None:
-    """Enforce the structural invariants on (possibly hand-built) trees:
-    function arguments and divisors are scalar expressions."""
-    if isinstance(e, Func):
-        if e.name not in _FUNCTIONS:
-            raise ParseError(f"unknown function {e.name!r}")
-        if not is_scalar_expr(e.arg):
-            raise DomainError(f"argument of {e.name} must be scalar")
-        validate(e.arg)
-    elif isinstance(e, Div):
-        if not is_scalar_expr(e.right):
-            raise DomainError("divisor must be a scalar expression")
-        validate(e.left)
-        validate(e.right)
-    elif isinstance(e, (Add, Sub, Mul)):
-        validate(e.left)
-        validate(e.right)
-    elif isinstance(e, Neg):
-        validate(e.inner)
-    elif isinstance(e, Pow):
-        if e.exponent < 0:
-            raise DomainError("negative exponents are not supported; divide instead")
-        validate(e.base)
+        return not e.value.coeffs[1:].any()
+    return isinstance(e, Func) or all(is_scalar_expr(child) for child in _children(e))
 
 
 # -- lexer / parser -----------------------------------------------------------
@@ -369,12 +340,21 @@ def _rows(value: np.ndarray, count: int) -> np.ndarray:
 
 
 def _compile(e: Expr, n: int) -> tuple[Batch, bool]:
-    """Closure for ``e`` and whether it is scalar (as :func:`is_scalar_expr`)."""
+    """Closure for ``e`` and whether it is scalar (as :func:`is_scalar_expr`).
+    The one check of the tree rules, children first: a known function of a
+    scalar argument, a scalar divisor, an integer exponent >= 0, finite literals."""
     dim = 1 << n
     if isinstance(e, Lit):
-        value = np.complex128(e.value)
+        try:
+            value = np.complex128(e.value) if isinstance(e.value, numbers.Number) else None
+        except OverflowError:  # an int beyond the doubles
+            value = None
+        if value is None or not np.isfinite(value):
+            raise ParseError(f"literal must be a finite number, got {e.value!r}")
         return (lambda zs: value), True
     if isinstance(e, CliffLit):
+        if not (isinstance(e.value, Multivector) and np.isfinite(e.value.coeffs).all()):
+            raise ParseError("Clifford literal must be a Multivector with finite coefficients")
         if e.value.n != n:
             raise MaskRangeError(f"Clifford literal has rank {e.value.n}, expected {n}")
         coeffs = e.value.coeffs  # real and read-only; numpy promotes it exactly
@@ -388,12 +368,16 @@ def _compile(e: Expr, n: int) -> tuple[Batch, bool]:
         inner, scalar = _compile(e.inner, n)
         return (lambda zs: -inner(zs)), scalar
     if isinstance(e, Func):
-        arg, _ = _compile(e.arg, n)
+        arg, scalar = _compile(e.arg, n)
+        if e.name not in _FUNCTIONS:
+            raise ParseError(f"unknown function {e.name!r}")
+        if not scalar:
+            raise DomainError(f"argument of {e.name} must be scalar")
         ufunc = _FUNCTIONS[e.name][0]
         return (lambda zs: ufunc(arg(zs))), True
     if isinstance(e, Pow):
         base, scalar = _compile(e.base, n)
-        k = e.exponent
+        k = _exponent(e.exponent)
         if scalar:
             one = np.complex128(1)
             return (lambda zs: _power(base(zs), k, np.multiply, one)), True
@@ -403,9 +387,13 @@ def _compile(e: Expr, n: int) -> tuple[Batch, bool]:
             return _batch_mul_coeffs(a, b, n)
 
         return (lambda zs: _power(_rows(base(zs), len(zs)), k, clifford_mul, unit)), False
+    if not isinstance(e, (Add, Sub, Mul, Div)):
+        raise FormatError(f"not an expression node: {e!r}")
     left, left_scalar = _compile(e.left, n)
     right, right_scalar = _compile(e.right, n)
     if isinstance(e, Div):
+        if not right_scalar:
+            raise DomainError("divisor must be a scalar expression")
 
         def divide(zs):
             divisor = right(zs)
@@ -425,25 +413,23 @@ def _compile(e: Expr, n: int) -> tuple[Batch, bool]:
         elif right_scalar and not left_scalar:
             right = _as_clifford(right, dim)
         return (lambda zs: op(left(zs), right(zs))), left_scalar and right_scalar
-    if isinstance(e, Mul):
-        if left_scalar and right_scalar:
-            return (lambda zs: left(zs) * right(zs)), True
-        if left_scalar:
-            return (lambda zs: left(zs)[..., None] * right(zs)), False
-        if right_scalar:
-            return (lambda zs: left(zs) * right(zs)[..., None]), False
-        return (lambda zs: _batch_mul_coeffs(
-            _rows(left(zs), len(zs)), _rows(right(zs), len(zs)), n)), False
-    raise TypeError(f"not an expression node: {e!r}")
+    if left_scalar and right_scalar:
+        return (lambda zs: left(zs) * right(zs)), True
+    if left_scalar:
+        return (lambda zs: left(zs)[..., None] * right(zs)), False
+    if right_scalar:
+        return (lambda zs: left(zs) * right(zs)[..., None]), False
+    return (lambda zs: _batch_mul_coeffs(
+        _rows(left(zs), len(zs)), _rows(right(zs), len(zs)), n)), False
 
 
-def _compile_batch(e: Expr, n: int) -> Batch:
+def _compile_batch(e: Expr, n: int) -> tuple[Batch, bool]:
     """Compile ``e`` into a function from a (N,) array of complex points to
-    the (N, 2**n) coefficient array of its values there.
+    the (N, 2**n) coefficient array of its values there, and whether ``e`` is scalar.
 
-    Raises :class:`SingularInputError` at the first division whose divisor
-    falls below 1e-150 at some point, and :class:`NumericError` when a value
-    is not finite (an overflow, say).
+    The function raises :class:`SingularInputError` at the first division whose
+    divisor falls below 1e-150 at some point, and :class:`NumericError` when a
+    value is not finite (an overflow, say).
     """
     node, scalar = _compile(e, n)
     dim = 1 << n
@@ -463,7 +449,7 @@ def _compile_batch(e: Expr, n: int) -> Batch:
             raise NumericError(f"non-finite value at z={z}")
         return out
 
-    return batch
+    return batch, scalar
 
 
 def evaluate(e: Expr, z: complex, n: int) -> CMultivector:
@@ -471,7 +457,7 @@ def evaluate(e: Expr, z: complex, n: int) -> CMultivector:
     complexified algebra.  Compiles ``e`` on every call; a function built
     by :func:`stem_function` compiles once and also evaluates whole arrays
     of points (``StemFunction.values_at``)."""
-    return CMultivector(n, _compile_batch(e, n)(np.array([complex(z)]))[0])
+    return CMultivector(n, _compile_batch(e, n)[0](np.array([complex(z)]))[0])
 
 
 # -- differentiation -------------------------------------------------------------
@@ -562,7 +548,7 @@ def differentiate(e: Expr) -> Expr:
         else:
             chain = Func(outer, e.arg)
         return _mul(da, chain)
-    raise TypeError(f"not an expression node: {e!r}")
+    raise FormatError(f"not an expression node: {e!r}")
 
 
 # -- pretty printing --------------------------------------------------------------
@@ -618,7 +604,7 @@ def pretty(e: Expr) -> str:
         return f"{wrap(e.base, 5)}^{e.exponent}"
     if isinstance(e, Func):
         return f"{e.name}({pretty(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
+    raise FormatError(f"not an expression node: {e!r}")
 
 
 # -- poles and stem-function construction ------------------------------------------
@@ -685,8 +671,7 @@ def stem_function(source: str | Expr, n: int, domain: PlanarDomain | None = None
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
         raise DomainError(f"algebra rank must be an integer >= 0, got {n!r}")
     expr = parse(source, n) if isinstance(source, str) else source
-    validate(expr)
-    batch = _compile_batch(expr, n)
+    batch, is_scalar = _compile_batch(expr, n)
     label = pretty(expr)
     if domain is None:
         poles: list[complex] = []
@@ -706,7 +691,7 @@ def stem_function(source: str | Expr, n: int, domain: PlanarDomain | None = None
         fn=fn,
         domain=domain,
         is_analytic=True,
-        is_scalar=is_scalar_expr(expr),
+        is_scalar=is_scalar,
         derivative=derivative,
         label=label,
         batch=batch,

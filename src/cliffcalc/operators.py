@@ -24,6 +24,7 @@ from .algebra import (
     digits_from_mask,
     mask_from_digits,
     _batch_mul_coeffs,
+    _exponent,
     _mul_tables,
     _value_coeffs,
 )
@@ -208,8 +209,9 @@ class CliffordOperator:
         return self.compose(other)
 
     def power(self, exponent: int) -> "CliffordOperator":
+        """``exponent``-fold composition; ``exponent`` must be an integer >= 0."""
         out = CliffordOperator.identity(self.d, self.n)
-        for _ in range(exponent):
+        for _ in range(_exponent(exponent)):
             out = out.compose(self)
         return out
 
@@ -226,12 +228,13 @@ class SpectrumSet:
 
     eigenvalues: tuple[complex, ...]
 
-    def upper(self, tol: float = 1e-12) -> tuple[complex, ...]:
-        """Representatives in the closed upper half plane, deduplicated."""
+    def upper(self) -> tuple[complex, ...]:
+        """Representatives in the closed upper half plane, deduplicated to a
+        relative 1e-9."""
         reps: list[complex] = []
         for lam in self.eigenvalues:
             lam = complex(lam.real, abs(lam.imag))
-            if all(abs(lam - r) > tol * (1.0 + abs(lam)) for r in reps):
+            if all(abs(lam - r) > 1e-9 * (1.0 + abs(lam)) for r in reps):
                 reps.append(lam)
         return tuple(reps)
 
@@ -301,7 +304,7 @@ def clifford_spectrum_slice(T: CliffordOperator, s_unit: Paravector) -> list[Par
     if s_unit.n != T.n:
         raise RankMismatchError(f"rank mismatch: operator {T.n}, direction {s_unit.n}")
     reps = []
-    for lam in complex_spectrum(T).upper(tol=1e-9):
+    for lam in complex_spectrum(T).upper():
         reps.append(slice_point(T.n, lam.real, abs(lam.imag), s_unit))
     return reps
 
@@ -436,7 +439,6 @@ def riesz_dunford_matrix(
 def riesz_dunford_eval(
     F,
     T: CliffordOperator,
-    contour: Contour | None = None,
     radius_fraction: float = RADIUS_FRACTION,
     tol: float = QUAD_TOL,
 ) -> CliffordOperator:
@@ -446,7 +448,7 @@ def riesz_dunford_eval(
     conjugation, so it projects back onto blade components; a violation
     beyond ``FLAT_TOL`` (relative) reports the function as non-stem.
     """
-    S = riesz_dunford_matrix(F, T, contour, radius_fraction, tol)
+    S = riesz_dunford_matrix(F, T, radius_fraction=radius_fraction, tol=tol)
     return _real_operator(S, T, "contour calculus", tol)
 
 

@@ -88,7 +88,7 @@ def eigenvalues(kappa: Paravector) -> SpectralData:
     y = kappa.vector_norm
     if y == 0.0:
         return SpectralData(complex(x, 0.0), complex(x, 0.0))
-    direction = kappa.components / y  # kappa.unit_imaginary(), without a second norm
+    direction = kappa.components / y  # the unit grade-one direction, once [0] is zeroed
     direction[0] = 0.0
     return SpectralData(complex(x, y), complex(x, -y), Paravector(kappa.n, direction))
 

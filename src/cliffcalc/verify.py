@@ -80,10 +80,10 @@ class SuiteResult:
 
 # -- random input factories -----------------------------------------------------
 
-def random_multivector(rng, n: int, scale: float = 1.0, complex_: bool = False):
-    coeffs = rng.normal(scale=scale, size=1 << n)
+def random_multivector(rng, n: int, complex_: bool = False):
+    coeffs = rng.normal(size=1 << n)
     if complex_:
-        return CMultivector(n, coeffs + 1j * rng.normal(scale=scale, size=1 << n))
+        return CMultivector(n, coeffs + 1j * rng.normal(size=1 << n))
     return Multivector(n, coeffs)
 
 
@@ -146,8 +146,8 @@ def random_stem_source(rng, n: int, max_degree: int = 4, entire_prob: float = 0.
     return src
 
 
-def random_scalar_stem_source(rng, max_degree: int = 3, entire_prob: float = 0.3) -> str:
-    degree = int(rng.integers(1, max_degree + 1))
+def random_scalar_stem_source(rng, entire_prob: float = 0.3) -> str:
+    degree = int(rng.integers(1, 4))
     terms = []
     for k in range(degree + 1):
         c = round(float(rng.uniform(-1.5, 1.5)), 3)

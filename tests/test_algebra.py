@@ -284,3 +284,26 @@ def test_paravector_text_matches_the_multivector_text():
     for p in cases:
         assert str(p) == format_multivector(p.to_multivector())
         assert repr(p) == f"Paravector({p.n}, {format_multivector(p.to_multivector())!r})"
+
+
+@pytest.mark.parametrize("obj", [
+    {"n": 1, "coeffs": {"x": 1}},
+    {"n": -1},
+    {"n": 1, "coeffs": {"1": "abc"}},
+    {"n": 1, "coeffs": {"1": float("nan")}},
+    {"n": 1, "coeffs": [1]},
+    {"n": True},
+    {"n": "1"},
+    {"n": 12},
+])
+def test_malformed_multivector_json_is_a_format_error(obj):
+    with pytest.raises(FormatError):
+        multivector_from_json(obj)
+
+
+def test_nonfinite_coefficients_print():
+    nan, inf = float("nan"), float("inf")
+    assert str(Multivector(2, [nan, -inf, 0.0, inf])) == "nan - infe1 + infe12"
+    assert repr(CMultivector(1, [complex(nan, 0.0), complex(1.0, inf)])) == \
+        "CMultivector(1, 'nan + (1+infj)e1')"
+    assert str(Paravector(1, [inf, nan])) == "inf + nane1"

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cliffcalc.cli import _ARGS, main, render_job
@@ -472,11 +472,35 @@ def job_documents(draw):
     return {"command": command, "args": args}
 
 
+def strict_json(text):
+    """``json.loads`` without the NaN and Infinity that RFC 8259 lacks."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 @settings(max_examples=120, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(job=job_documents())
+@example(job={"command": "eval", "args": {"n": 1, "fn": "z", "at": "e1", "tol": float("nan")}})
+@example(job={"command": "mul", "args": {"n": 1, "a": "1e+200", "b": "1e+200"}})
 def test_job_documents_end_in_a_report_or_an_error_document(job_dir, capsysbinary, job):
     code, out = run_job_file(capsysbinary, job_dir, job)
-    document = json.loads(out)
+    document = strict_json(out)
     assert (code, sorted(document)) in [(0, ["command", "inputs", "result"]),
                                         (1, ["error"]), (2, ["error"])], job
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (["eval", "-n", "1", "--fn", "z", "--at", "e1", "--tol", "nan"], 1, "DomainError"),
+    (["resolvent", "-n", "1", "--paravector", "e1", "--lambda", "infj"], 1, "DomainError"),
+    (["mul", "-n", "1", "--a", "1e+200", "--b", "1e+200"], 2, "NumericError"),
+    (["mul", "-n", "1", "--a", "1e+400", "--b", "e1"], 1, "FormatError"),
+    # the norm of this paravector overflows, and numpy warns of it
+    pytest.param(["spectrum", "-n", "1", "--paravector", "1e+200+1e+200e1"], 2, "NumericError",
+                 marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")),
+])
+def test_reports_are_strict_json(capsysbinary, argv, code, error):
+    returned, out = run_cli(capsysbinary, argv)
+    assert (returned, strict_json(out)["error"]["type"]) == (code, error)

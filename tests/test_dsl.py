@@ -350,3 +350,167 @@ def test_clifford_power_derivative_matches_term_sum(base, exponent):
             reference = reference + powers[i] * du * powers[exponent - 1 - i]
         value = F.differentiated()(z)
         assert (value - reference).norm() <= 1e-13 * max(1.0, reference.norm()), z
+
+
+# -- the tree rules, checked where a tree compiles ---------------------------------
+
+import numbers  # noqa: E402
+
+import cliffcalc.errors  # noqa: E402
+from cliffcalc.dsl import _FUNCTIONS, Div, Neg, Sub, is_scalar_expr  # noqa: E402
+
+E1 = Multivector.basis_blade(1, 1)
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("tree, error", [
+    (Div(Lit(1), CliffLit(E1)), "DomainError"),
+    (Func("tan", Var()), "ParseError"),
+    (Func("exp", Mul(CliffLit(E1), Var())), "DomainError"),
+    (Pow(Var(), 2.5), "DomainError"),
+    (Pow(Var(), True), "DomainError"),
+    (42, "FormatError"),
+    (Add(Var(), None), "FormatError"),
+    (Lit(INF), "ParseError"),
+    (Lit(complex(0.0, NAN)), "ParseError"),
+    (Lit(10**400), "ParseError"),
+    (Lit("abc"), "ParseError"),
+    (CliffLit(Multivector(1, [NAN, 1.0])), "ParseError"),
+    (CliffLit(42), "ParseError"),
+])
+def test_hand_built_trees_that_break_a_rule_are_refused(tree, error):
+    expected = getattr(cliffcalc.errors, error)
+    with pytest.raises(expected):
+        evaluate(tree, 0.5, 1)
+    with pytest.raises(expected):
+        stem_function(tree, 1)
+
+
+def test_negative_exponent_is_refused_not_looped():
+    # repeated squaring never reaches zero from -1, so this must fail before it runs
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    probe = ("from cliffcalc.dsl import Pow, Var, evaluate, stem_function\n"
+             "from cliffcalc.errors import DomainError\n"
+             "for call in (lambda: evaluate(Pow(Var(), -1), 2.0, 1),\n"
+             "             lambda: stem_function(Pow(Var(), -1), 1)):\n"
+             "    try:\n"
+             "        call()\n"
+             "    except DomainError:\n"
+             "        continue\n"
+             "    raise SystemExit('no DomainError')\n")
+    src = Path(__import__("cliffcalc").__file__).resolve().parent.parent
+    path = os.pathsep.join([str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                   timeout=60, check=True)
+
+
+def test_numpy_integer_exponent_is_an_exponent():
+    assert evaluate(Pow(Var(), np.int64(3)), 0.5 + 1j, 1) == evaluate(Pow(Var(), 3), 0.5 + 1j, 1)
+    assert stem_function(Pow(Var(), np.int64(2)), 1).label == "z^2"
+
+
+def test_printer_and_differentiator_refuse_non_nodes():
+    with pytest.raises(cliffcalc.errors.FormatError):
+        pretty(Add(Var(), 42))
+    with pytest.raises(cliffcalc.errors.FormatError):
+        differentiate(Mul(Var(), "z"))
+
+
+def reference_rule_break(e):
+    """Name of the error a hand-built tree must raise, or None for a tree that
+    keeps every rule: the tree walk of the rules, children first, as a check
+    on the checks inside the compiler."""
+    if isinstance(e, Lit):
+        try:
+            finite = isinstance(e.value, numbers.Number) and np.isfinite(complex(e.value))
+        except OverflowError:
+            finite = False
+        return None if finite else "ParseError"
+    if isinstance(e, CliffLit):
+        finite = isinstance(e.value, Multivector) and np.isfinite(e.value.coeffs).all()
+        return None if finite else "ParseError"
+    if isinstance(e, Var):
+        return None
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        children = [e.left, e.right]
+    elif isinstance(e, Neg):
+        children = [e.inner]
+    elif isinstance(e, Pow):
+        children = [e.base]
+    elif isinstance(e, Func):
+        children = [e.arg]
+    else:
+        return "FormatError"
+    for child in children:
+        broken = reference_rule_break(child)
+        if broken:
+            return broken
+    if isinstance(e, Func):
+        if e.name not in _FUNCTIONS:
+            return "ParseError"
+        if not is_scalar_expr(e.arg):
+            return "DomainError"
+    if isinstance(e, Div) and not is_scalar_expr(e.right):
+        return "DomainError"
+    k = getattr(e, "exponent", 0)
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+        return "DomainError"
+    return None
+
+
+def hand_built_trees():
+    valid = st.sampled_from([Var(), Lit(0j), Lit(1.5), Lit(-2j), CliffLit(E1),
+                             CliffLit(Multivector(1, [2.0, 0.0])),
+                             CliffLit(Multivector(1, [0.5, -1.0]))])
+    junk = st.sampled_from([Lit(NAN), Lit(INF), Lit(complex(1, INF)),
+                            CliffLit(Multivector(1, [NAN, 0.0])),
+                            CliffLit(Multivector(1, [0.0, INF])),
+                            Lit("abc"), Lit(10**400), CliffLit(42),
+                            42, 2.5j, None, Multivector(1, [1.0, NAN])])
+    # one leaf in ten is junk, so that about half the trees keep every rule
+    leaves = st.integers(0, 9).flatmap(lambda k: junk if k == 0 else valid)
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Add, children, children),
+            st.builds(Sub, children, children),
+            st.builds(Mul, children, children),
+            st.builds(Div, children, children),
+            st.builds(Neg, children),
+            st.builds(Pow, children, st.sampled_from([0, 1, 2, 3, np.int64(2), -1, 2.5, True])),
+            st.builds(Func, st.sampled_from(["exp", "sin", "cos", "sinh", "cosh", "tan"]),
+                      children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except cliffcalc.errors.ToolkitError as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tree=hand_built_trees())
+def test_hand_built_trees_evaluate_or_raise_a_toolkit_error(tree):
+    z = 0.3 + 0.7j
+    direct = _outcome(lambda: evaluate(tree, z, 1).coeffs)
+    F = _outcome(lambda: stem_function(tree, 1))
+    broken = reference_rule_break(tree)
+    if broken:
+        assert direct == F == broken, tree
+    elif isinstance(F, str):
+        # the pole scan may meet a zero of an inner divisor on its grid
+        assert F == "SingularInputError", tree
+    else:
+        batch = _outcome(lambda: F.values_at(np.array([z]))[0])
+        if isinstance(direct, str) or isinstance(batch, str):
+            assert direct == batch, tree
+        else:
+            assert direct.tobytes() == batch.tobytes(), tree

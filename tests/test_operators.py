@@ -369,3 +369,15 @@ def test_non_analytic_stem_function_is_rejected():
                  lambda: slice_calculus_eval(flagged, T, Paravector(1, [0, 1]))):
         with pytest.raises(DomainError, match="analytic"):
             call()
+
+
+@pytest.mark.parametrize("exponent", [-1, 2.5, True])
+def test_operator_power_needs_an_int_exponent(exponent):
+    from cliffcalc.errors import DomainError
+
+    T = CliffordOperator(2, 1, {0: np.diag([1.0, 2.0]), 1: np.eye(2)})
+    with pytest.raises(DomainError):
+        T.power(exponent)
+    square = complexify(T) @ complexify(T)
+    assert np.array_equal(complexify(T.power(2)), square)
+    assert np.array_equal(complexify(T.power(np.int64(2))), square)
